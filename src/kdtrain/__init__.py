@@ -4,13 +4,12 @@ regularizer, or a soft-then-hard pretraining schedule."""
 
 from .datasets import FrameDataset, SplitSet, SynthTaskSpec, generate_synth, validate_soft_targets
 from .distill import (
+    REGIMES,
     DistillLossSpec,
     SoftTargetSet,
-    combined_loss_and_grad,
+    batch_soft_loss,
     export_soft_targets,
-    logit_matching_loss_and_grad,
-    soft_ce_loss_and_grad,
-    soften_logits,
+    frame_objective,
 )
 from .errors import (
     AlignmentError,
@@ -27,17 +26,11 @@ from .lstm import (
     LstmProjParams,
     RecurrentState,
     init_lstm,
-    lstm_backward,
-    lstm_forward,
+    lstm_backward_batch,
+    lstm_forward_batch,
     zeros_state,
 )
-from .numeric import (
-    cross_entropy,
-    finite_diff_check,
-    l2_distance_sq,
-    logit_gradient,
-    softmax_t,
-)
+from .numeric import finite_diff_check, softmax_rows
 from .training import (
     GradVarianceAccumulator,
     OptimizerState,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .datasets import generate_synth, validate_soft_targets
-from .distill import DistillLossSpec, export_soft_targets
+from .distill import REGIMES, DistillLossSpec, export_soft_targets
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -49,15 +49,6 @@ from .training import (
 
 _SPLITS = ("train", "cv", "test")
 
-# Table-1-style labels for each regime's target arrangement.
-_TARGET_LABELS = {
-    "hard": "Hard",
-    "soft": "Soft",
-    "reg": "Soft + Hard",
-    "pretrain": "Soft, Hard",
-    "logitmatch": "Logits",
-}
-
 
 def _tfmt(t: float) -> str:
     return format(t, "g")
@@ -72,9 +63,9 @@ def _soft_name(t: float, seed: int) -> str:
 
 
 def _student_stem(regime: str, t: float, seed: int) -> str:
-    if regime in ("hard", "logitmatch"):
-        return f"student_{regime}_s{seed}"
-    return f"student_{regime}_T{_tfmt(t)}_s{seed}"
+    if REGIMES[regime].soft_targets:
+        return f"student_{regime}_T{_tfmt(t)}_s{seed}"
+    return f"student_{regime}_s{seed}"
 
 
 def _prepare_out(out: Path, cfg: ExperimentConfig) -> None:
@@ -103,11 +94,8 @@ def _expand_cells(regimes, temperatures, seeds):
     cells = []
     for seed in seeds:
         for regime in regimes:
-            if regime in ("hard", "logitmatch"):
-                cells.append((regime, 1.0, seed))
-            else:
-                for t in temperatures:
-                    cells.append((regime, t, seed))
+            for t in temperatures if REGIMES[regime].soft_targets else [1.0]:
+                cells.append((regime, t, seed))
     return cells
 
 
@@ -210,7 +198,7 @@ def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, 
         if not soft_path.exists():
             raise ConfigError(f"missing soft targets {soft_path}; run export-soft first")
         soft = read_soft_targets(soft_path)
-    if regime == "logitmatch":
+    if REGIMES[regime].teacher_logits:
         teacher_path = out / f"{_teacher_stem(seed)}.dkdm"
         if not teacher_path.exists():
             raise ConfigError(f"missing teacher checkpoint {teacher_path} for logit matching")
@@ -349,14 +337,13 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
     # Table-1-style summary: one row per (model, regime, T), median over seeds.
     groups: dict[tuple, list[RunRecord]] = {}
     for r in records:
-        key_t = r.temperature if r.regime in ("soft", "reg", "pretrain") else None
+        key_t = r.temperature if REGIMES[r.regime].soft_targets else None
         groups.setdefault((r.model, r.regime, key_t), []).append(r)
 
     def sort_key(item):
         (model, regime, t), _ = item
         model_rank = 0 if model == "teacher" else 1
-        regime_rank = {"hard": 0, "soft": 1, "reg": 2, "pretrain": 3, "logitmatch": 4}[regime]
-        return (model_rank, t if t is not None else 0.0, regime_rank)
+        return (model_rank, t if t is not None else 0.0, list(REGIMES).index(regime))
 
     header = f"{'Model':<14} {'Targets':<12} {'TR FA%':>8} {'CV FA%':>8} {'TEST FA%':>9}"
     rows = [header, "-" * len(header)]
@@ -368,7 +355,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         cv = _median([r.epochs[-1].cv_accuracy for r in rs])
         te = _median([r.test_accuracy for r in rs if r.test_accuracy is not None])
         rows.append(
-            f"{label:<14} {_TARGET_LABELS[regime]:<12} {tr:>8.2f} {cv:>8.2f} {te:>9.2f}"
+            f"{label:<14} {REGIMES[regime].label:<12} {tr:>8.2f} {cv:>8.2f} {te:>9.2f}"
         )
 
     variance_files = sorted(out.glob("variance_s*.txt"))
@@ -390,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="experiment YAML (defaults used when omitted)")
     parser.add_argument("--out", default="out", help="artifact directory (default: out)")
     parser.add_argument("--seed", type=int, help="restrict to one master seed")
-    parser.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="accepted for interface stability; execution is always deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("generate-data", help="synthesize train/cv/test datasets")
@@ -435,7 +416,7 @@ def _dispatch(args) -> None:
         cmd_export_soft(cfg, out, seeds, temps, args.teacher)
     elif args.command == "train-student":
         regimes = [args.regime] if args.regime else cfg.regimes
-        bad = [r for r in regimes if r not in _TARGET_LABELS]
+        bad = [r for r in regimes if r not in REGIMES]
         if bad:
             raise ConfigError(f"unknown regime(s) {bad}")
         temps = [args.temperature] if args.temperature is not None else cfg.temperatures

@@ -19,7 +19,7 @@ time (then kept as float64 in memory), which makes file round trips
 bit-exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

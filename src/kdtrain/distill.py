@@ -1,7 +1,8 @@
-"""Knowledge transfer from a feed-forward teacher to a student:
-temperature-softened target generation, the soft cross-entropy loss and
-its logit gradient, the combined hard+soft objective with optional T^2
-gradient compensation, and squared-distance logit matching.
+"""Knowledge transfer from a feed-forward teacher to a student: the
+regime table, temperature-softened target generation, and the per-frame
+objectives (soft cross entropy with its logit gradient, the combined
+hard+soft objective with T^2 gradient compensation, and squared-distance
+logit matching) over (frames x K) matrices.
 
 Temperature is applied to both the teacher (at soft-target generation)
 and the student (inside the soft loss term); the hard term and all
@@ -14,37 +15,55 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError
 from .feedforward import FeedForwardParams, ff_forward
-from .numeric import (
-    PROB_CLAMP_MIN,
-    cross_entropy,
-    l2_distance_sq,
-    logit_gradient,
-    softmax_rows,
-    softmax_t,
-)
+from .numeric import PROB_CLAMP_MIN, softmax_rows
 
-# Training regimes. "hard" is the plain supervised baseline; "pretrain"
-# runs "soft" epochs first and then switches to "hard".
-MODES = ("hard", "soft", "reg", "pretrain", "logitmatch")
+
+@dataclass(frozen=True)
+class Regime:
+    """What a training regime reads and how it trains.
+
+    ``label`` is the regime's Table-1 "Targets" entry. ``soft_targets``
+    means it reads the teacher's soft targets at its temperature T (so
+    it is trained once per T); ``teacher_logits`` means it needs the
+    teacher's raw logits. ``scale_t2`` multiplies the soft loss and its
+    gradient by T^2, keeping soft-gradient magnitudes comparable across
+    temperatures. ``phases`` are the per-frame objectives run in order;
+    every phase but the last ends after the schedule's switch epoch.
+    """
+
+    label: str
+    soft_targets: bool
+    teacher_logits: bool
+    scale_t2: bool
+    phases: tuple[str, ...]
+
+
+# The training regimes, in report order. "hard" is the plain supervised
+# baseline; "pretrain" runs "soft" epochs first and then switches to "hard".
+REGIMES = {
+    "hard": Regime("Hard", False, False, False, ("hard",)),
+    "soft": Regime("Soft", True, False, False, ("soft",)),
+    "reg": Regime("Soft + Hard", True, False, True, ("reg",)),
+    "pretrain": Regime("Soft, Hard", True, False, False, ("soft", "hard")),
+    "logitmatch": Regime("Logits", False, True, False, ("logitmatch",)),
+}
+MODES = tuple(REGIMES)
 
 
 @dataclass
 class DistillLossSpec:
     """Which objective drives training, and with what knobs.
 
-    ``alpha`` weights the hard term of the combined objective.
-    ``scale_soft_by_t2`` defaults to on for "reg" and off elsewhere, so
-    the regularized objective keeps soft-gradient magnitudes comparable
-    across temperatures.
+    ``alpha`` weights the hard term of the combined objective; every
+    other property of ``mode`` comes from its row in REGIMES.
     """
 
     mode: str = "hard"
     alpha: float = 0.5
     temperature: float = 1.0
-    scale_soft_by_t2: bool | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in REGIMES:
             raise InvalidArgumentError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidArgumentError(f"alpha must be in [0, 1], got {self.alpha}")
@@ -53,13 +72,11 @@ class DistillLossSpec:
 
     @property
     def scale_resolved(self) -> bool:
-        if self.scale_soft_by_t2 is None:
-            return self.mode == "reg"
-        return self.scale_soft_by_t2
+        return REGIMES[self.mode].scale_t2
 
     @property
     def uses_soft_targets(self) -> bool:
-        return self.mode in ("soft", "reg", "pretrain")
+        return REGIMES[self.mode].soft_targets
 
 
 @dataclass
@@ -94,15 +111,6 @@ class SoftTargetSet:
         return self.rows.shape[1]
 
 
-def soften_logits(teacher_logits, temperature: float) -> np.ndarray:
-    """Teacher posteriors at the given temperature.
-
-    The named distillation entry point; numerically identical to
-    softmax_t, kept separate so call sites record provenance.
-    """
-    return softmax_t(teacher_logits, temperature)
-
-
 def export_soft_targets(teacher: FeedForwardParams, dataset, temperature: float) -> SoftTargetSet:
     """Run the teacher over every frame of ``dataset`` (manifest order)
     and record the temperature-softened posteriors."""
@@ -113,68 +121,10 @@ def export_soft_targets(teacher: FeedForwardParams, dataset, temperature: float)
     return SoftTargetSet(temperature, rows, checkpoint_digest(teacher))
 
 
-def soft_ce_loss_and_grad(
-    student_logits, soft_target, temperature: float, scale_by_t2: bool = False
-) -> tuple[float, np.ndarray]:
-    """Cross entropy of the student's temperature-softened output against
-    a soft target, with its exact logit gradient (q - p) / T.
-
-    With ``scale_by_t2`` both the loss and the gradient are multiplied
-    by T^2, compensating the 1/T^2 shrinkage of soft gradients so the
-    term stays comparable to a hard term at any temperature.
-    """
-    z = np.asarray(student_logits, dtype=np.float64)
-    p = np.asarray(soft_target, dtype=np.float64)
-    if z.shape != p.shape:
-        raise ShapeError(f"logits/target length mismatch: {z.shape} vs {p.shape}")
-    q = softmax_t(z, temperature)
-    loss = cross_entropy(p, q)
-    grad = logit_gradient(p, q) / temperature
-    if scale_by_t2:
-        t2 = temperature * temperature
-        loss *= t2
-        grad = grad * t2
-    return loss, grad
-
-
-def combined_loss_and_grad(
-    student_logits, hard_target, soft_target, spec: DistillLossSpec
-) -> tuple[float, np.ndarray]:
-    """alpha * hard cross entropy (always at T = 1) plus the soft term.
-
-    Gradients add linearly: alpha * (q1 - t) + soft gradient.
-    """
-    z = np.asarray(student_logits, dtype=np.float64)
-    t = np.asarray(hard_target, dtype=np.float64)
-    p = np.asarray(soft_target, dtype=np.float64)
-    if not (z.shape == t.shape == p.shape):
-        raise ShapeError(
-            f"length mismatch: logits {z.shape}, hard {t.shape}, soft {p.shape}"
-        )
-    q1 = softmax_t(z, 1.0)
-    hard_loss = cross_entropy(t, q1)
-    hard_grad = logit_gradient(t, q1)
-    soft_loss, soft_grad = soft_ce_loss_and_grad(
-        z, p, spec.temperature, spec.scale_resolved
-    )
-    return spec.alpha * hard_loss + soft_loss, spec.alpha * hard_grad + soft_grad
-
-
-def logit_matching_loss_and_grad(student_logits, teacher_logits) -> tuple[float, np.ndarray]:
-    """Half squared distance between student and teacher logits; the
-    gradient is simply z - v."""
-    z = np.asarray(student_logits, dtype=np.float64)
-    v = np.asarray(teacher_logits, dtype=np.float64)
-    if z.shape != v.shape:
-        raise ShapeError(f"logit length mismatch: {z.shape} vs {v.shape}")
-    return 0.5 * l2_distance_sq(z, v), z - v
-
-
 # ---------------------------------------------------------------------------
-# Vectorized per-frame objectives used by the training loop. Row math is
-# identical to the single-vector operations above; the hard path is
-# literally the soft path fed one-hot rows, so a soft-target file holding
-# exact one-hots reproduces hard training bit for bit.
+# Per-frame objectives used by the training loop. The hard path is
+# literally the soft path fed one-hot rows at T = 1, so a soft-target file
+# holding exact one-hots reproduces hard training bit for bit.
 
 
 def one_hot_rows(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -220,21 +170,22 @@ def frame_objective(
     and "reg" (the component the smoothing argument is about), and the
     (teacher, student) logits for "logitmatch".
     """
+    regime = REGIMES[spec.mode]
+    if regime.soft_targets and soft_rows is None:
+        raise InvalidArgumentError(f"soft targets required for mode {spec.mode!r}")
+    if regime.teacher_logits and teacher_logits is None:
+        raise InvalidArgumentError(f"teacher logits required for mode {spec.mode!r}")
     k = logits.shape[1]
     if spec.mode == "hard":
         t_rows = one_hot_rows(labels, k)
         losses, grads, q = batch_soft_loss(logits, t_rows, 1.0, False)
         return losses, grads, t_rows, q
     if spec.mode == "soft":
-        if soft_rows is None:
-            raise InvalidArgumentError("soft targets required for mode 'soft'")
         losses, grads, q = batch_soft_loss(
             logits, soft_rows, spec.temperature, spec.scale_resolved
         )
         return losses, grads, soft_rows, q
     if spec.mode == "reg":
-        if soft_rows is None:
-            raise InvalidArgumentError("soft targets required for mode 'reg'")
         t_rows = one_hot_rows(labels, k)
         hard_losses, hard_grads, _ = batch_soft_loss(logits, t_rows, 1.0, False)
         soft_losses, soft_grads, q = batch_soft_loss(
@@ -247,13 +198,12 @@ def frame_objective(
             q,
         )
     if spec.mode == "logitmatch":
-        if teacher_logits is None:
-            raise InvalidArgumentError("teacher logits required for mode 'logitmatch'")
         if teacher_logits.shape != logits.shape:
             raise ShapeError(
                 f"teacher logits {teacher_logits.shape} vs student {logits.shape}"
             )
         diff = logits - teacher_logits
         return 0.5 * (diff * diff).sum(axis=1), diff, teacher_logits, logits
-    raise InvalidArgumentError(f"mode {spec.mode!r} has no per-frame objective (pretrain "
-                               "is a schedule over 'soft' then 'hard')")
+    raise InvalidArgumentError(
+        f"mode {spec.mode!r} has no per-frame objective; it is a schedule over {regime.phases}"
+    )

@@ -11,10 +11,6 @@ import numpy as np
 from .errors import ShapeError
 from .numeric import require_finite
 
-# Desk-scale default: 2 hidden layers of 128 units.
-DEFAULT_HIDDEN = (128, 128)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     out = np.empty_like(x)

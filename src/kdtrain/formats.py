@@ -82,6 +82,10 @@ def _check_header(r: _Reader, magic: bytes):
 
 
 def dataset_bytes(ds: FrameDataset) -> bytes:
+    if ds.labels.size and ds.labels.max() > 0xFFFF:
+        raise FormatError(
+            f"label {ds.labels.max()} does not fit the u16 label field of {DATASET_MAGIC.decode()}"
+        )
     parts = [DATASET_MAGIC, struct.pack("<B", FORMAT_VERSION)]
     parts.append(
         struct.pack(

@@ -26,9 +26,6 @@ DEFAULT_LAYERS = 1
 DEFAULT_CELLS = 64
 DEFAULT_PROJECTION = 32
 
-# Slices of the stacked 4C gate axis, in canonical order.
-GATE_ORDER = ("input", "forget", "cell", "output")
-
 
 @dataclass
 class LstmLayerParams:
@@ -162,8 +159,8 @@ def zeros_like_lstm(params: LstmProjParams) -> LstmProjParams:
 class RecurrentState:
     """Per-layer cell state and projected output, carried across windows.
 
-    Arrays are (C,) / (P,) for a single stream or (S, C) / (S, P) for a
-    batch of S streams. Zero-initialized at the start of every utterance.
+    Arrays are (S, C) / (S, P) for a batch of S streams (S = 1 for a
+    single stream). Zero-initialized at the start of every utterance.
     """
 
     cells: list[np.ndarray]
@@ -173,11 +170,10 @@ class RecurrentState:
         return RecurrentState([c.copy() for c in self.cells], [r.copy() for r in self.projected])
 
 
-def zeros_state(params: LstmProjParams, batch: int | None = None) -> RecurrentState:
-    shape = (lambda n: (n,)) if batch is None else (lambda n: (batch, n))
+def zeros_state(params: LstmProjParams, batch: int) -> RecurrentState:
     return RecurrentState(
-        [np.zeros(shape(l.cell_dim)) for l in params.layers],
-        [np.zeros(shape(l.proj_dim)) for l in params.layers],
+        [np.zeros((batch, l.cell_dim)) for l in params.layers],
+        [np.zeros((batch, l.proj_dim)) for l in params.layers],
     )
 
 
@@ -197,7 +193,7 @@ class _LayerCache:
 
 @dataclass
 class LstmCache:
-    """Activations needed by lstm_backward; valid only for the exact
+    """Activations needed by lstm_backward_batch; valid only for the exact
     parameter object that produced it."""
 
     params_ref: LstmProjParams = field(repr=False)
@@ -215,12 +211,6 @@ def _check_state(params: LstmProjParams, state: RecurrentState, batch: int) -> N
                 f"state shapes {c.shape}/{r.shape} disagree with layer "
                 f"dims C={layer.cell_dim}, P={layer.proj_dim}, batch={batch}"
             )
-
-
-def _batched_state(state: RecurrentState) -> RecurrentState:
-    return RecurrentState(
-        [c[np.newaxis, :] for c in state.cells], [r[np.newaxis, :] for r in state.projected]
-    )
 
 
 def lstm_forward_batch(
@@ -374,39 +364,3 @@ def lstm_backward_batch(
     grad_cells.reverse()
     grad_proj.reverse()
     return grads, RecurrentState(grad_cells, grad_proj)
-
-
-def lstm_forward(
-    params: LstmProjParams, window: np.ndarray, state_in: RecurrentState
-) -> tuple[np.ndarray, RecurrentState, LstmCache]:
-    """Single-stream forward over an (F x input_dim) window.
-
-    Returns per-frame logits (F x K), the state to carry into the next
-    window of the same stream, and the cache consumed by lstm_backward.
-    """
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"window must be 2-D (frames x features), got shape {w.shape}")
-    logits, state_out, cache = lstm_forward_batch(params, w[np.newaxis], _batched_state(state_in))
-    return (
-        logits[0],
-        RecurrentState([c[0] for c in state_out.cells], [r[0] for r in state_out.projected]),
-        cache,
-    )
-
-
-def lstm_backward(
-    params: LstmProjParams,
-    cache: LstmCache,
-    logit_grads: np.ndarray,
-    state_grad_in: RecurrentState | None = None,
-) -> tuple[LstmProjParams, RecurrentState]:
-    """Single-stream counterpart of lstm_backward_batch."""
-    g = np.asarray(logit_grads, dtype=np.float64)
-    if g.ndim != 2:
-        raise ShapeError(f"logit_grads must be 2-D (frames x K), got shape {g.shape}")
-    sg = _batched_state(state_grad_in) if state_grad_in is not None else None
-    grads, state_grad = lstm_backward_batch(params, cache, g[np.newaxis], sg)
-    return grads, RecurrentState(
-        [c[0] for c in state_grad.cells], [r[0] for r in state_grad.projected]
-    )

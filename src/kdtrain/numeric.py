@@ -1,13 +1,11 @@
-"""Dense vector/matrix numerics: temperature softmax, cross entropy,
-logit-layer gradients, and the finite-difference gradient checker that
-backstops every hand-derived backward pass in the library.
+"""Dense numerics: the row-wise temperature softmax, the finiteness
+guard, and the finite-difference gradient checker that backstops every
+hand-derived backward pass in the library.
 
 All public functions accept array-likes, compute in float64, and either
 return finite values or raise a typed error. They are pure and safe to
 call concurrently.
 """
-
-import math
 
 import numpy as np
 
@@ -32,25 +30,14 @@ def require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def softmax_t(logits, temperature: float) -> np.ndarray:
-    """Temperature-scaled softmax: p_i = exp(z_i/T) / sum_j exp(z_j/T).
+def softmax_rows(logits, temperature: float) -> np.ndarray:
+    """Temperature-scaled softmax of each row of a (frames x K) matrix:
+    p_i = exp(z_i/T) / sum_j exp(z_j/T).
 
-    Stabilized by max subtraction, so the result is invariant to adding
-    a constant to all logits. Larger T flattens the distribution; the
+    Stabilized by max subtraction, so each row is invariant to adding a
+    constant to its logits. Larger T flattens the distribution; the
     argmax is preserved for every T > 0.
     """
-    z = _as_vector(logits, "logits")
-    if z.size < 2:
-        raise ShapeError(f"logits must have at least 2 entries, got {z.size}")
-    if not temperature > 0:
-        raise InvalidArgumentError(f"temperature must be positive, got {temperature}")
-    require_finite(z, "logits")
-    e = np.exp((z - z.max()) / temperature)
-    return e / e.sum()
-
-
-def softmax_rows(logits, temperature: float) -> np.ndarray:
-    """Row-wise softmax_t over a (frames x K) matrix."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ShapeError(f"expected a frames x K matrix with K >= 2, got shape {z.shape}")
@@ -59,63 +46,6 @@ def softmax_rows(logits, temperature: float) -> np.ndarray:
     require_finite(z, "logits")
     e = np.exp((z - z.max(axis=1, keepdims=True)) / temperature)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(target, output) -> float:
-    """-sum_j t_j ln y_j with y clamped to [1e-12, 1].
-
-    Equals the entropy of ``target`` when output == target, and is
-    never smaller than that (Gibbs inequality).
-    """
-    t = _as_vector(target, "target")
-    y = _as_vector(output, "output")
-    if t.shape != y.shape:
-        raise ShapeError(f"target/output length mismatch: {t.size} vs {y.size}")
-    return float(-(t * np.log(np.clip(y, PROB_CLAMP_MIN, 1.0))).sum())
-
-
-def entropy(p) -> float:
-    """Shannon entropy -sum p ln p in nats."""
-    return cross_entropy(p, p)
-
-
-def logit_gradient(target, output) -> np.ndarray:
-    """Gradient of cross-entropy-through-softmax at the logit layer.
-
-    Returns output - target (descent direction on the negated
-    log-likelihood). Sums to zero when both inputs are probability
-    vectors.
-    """
-    t = _as_vector(target, "target")
-    y = _as_vector(output, "output")
-    if t.shape != y.shape:
-        raise ShapeError(f"target/output length mismatch: {t.size} vs {y.size}")
-    return y - t
-
-
-def l2_distance_sq(a, b) -> float:
-    """sum_i (a_i - b_i)^2 as the correctly rounded sum of the squared
-    differences (exact compensated accumulation via math.fsum)."""
-    va = _as_vector(a, "a")
-    vb = _as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise ShapeError(f"length mismatch: {va.size} vs {vb.size}")
-    d = va - vb
-    return math.fsum(d * d)
-
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    """Unit vector with a 1 at ``label``."""
-    if not 0 <= label < num_classes:
-        raise InvalidArgumentError(f"label {label} outside [0, {num_classes})")
-    v = np.zeros(num_classes)
-    v[label] = 1.0
-    return v
-
-
-def argmax_lowest(values) -> int:
-    """Index of the maximum entry; ties resolve to the lowest index."""
-    return int(np.argmax(np.asarray(values)))
 
 
 def finite_diff_check(f, params, analytic_grad, step: float = 1e-5) -> float:

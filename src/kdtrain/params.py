@@ -1,6 +1,6 @@
 """Helpers shared by both architectures: flattening parameter sets to
-vectors (for the gradient checker and checkpoints) and global-norm
-gradient clipping.
+vectors (for the gradient checker), the global gradient norm, and
+in-place accumulation.
 
 Every parameter container exposes ``arrays()``, a list of ndarrays in a
 fixed canonical order; all utilities here operate on such lists.
@@ -32,19 +32,6 @@ def unpack_into(vector: np.ndarray, arrays: list[np.ndarray]) -> None:
 def global_norm(arrays: list[np.ndarray]) -> float:
     """L2 norm over all entries of all arrays."""
     return math.sqrt(sum(float((a * a).sum()) for a in arrays))
-
-
-def clip_global_norm(arrays: list[np.ndarray], max_norm: float) -> float:
-    """Scale all arrays in place so their global norm is <= max_norm.
-
-    Returns the pre-clip norm.
-    """
-    norm = global_norm(arrays)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for a in arrays:
-            a *= scale
-    return norm
 
 
 def add_scaled(into: list[np.ndarray], from_: list[np.ndarray], scale: float = 1.0) -> None:

@@ -10,18 +10,13 @@ reduced in a fixed order.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .datasets import FrameDataset
-from .distill import (
-    DistillLossSpec,
-    SoftTargetSet,
-    frame_objective,
-    one_hot_rows,
-)
+from .distill import REGIMES, DistillLossSpec, SoftTargetSet, frame_objective, one_hot_rows
 from .errors import (
     AlignmentError,
     InvalidArgumentError,
@@ -73,10 +68,6 @@ class OptimizerState:
             raise InvalidArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
-def _arrays_of(obj) -> list[np.ndarray]:
-    return obj.arrays() if hasattr(obj, "arrays") else list(obj)
-
-
 def sgd_momentum_step(params, grads, opt: OptimizerState) -> float:
     """One update: v <- momentum*v - lr*g, p <- p + v, with g first
     clipped to ``opt.clip_norm`` global L2 norm.
@@ -84,8 +75,8 @@ def sgd_momentum_step(params, grads, opt: OptimizerState) -> float:
     Mutates params and opt in place and returns the pre-clip global
     gradient norm. Non-finite gradients abort with NumericOverflowError.
     """
-    p_arrays = _arrays_of(params)
-    g_arrays = _arrays_of(grads)
+    p_arrays = params.arrays()
+    g_arrays = grads.arrays()
     if len(p_arrays) != len(g_arrays) or any(
         p.shape != g.shape for p, g in zip(p_arrays, g_arrays)
     ):
@@ -444,29 +435,30 @@ def run_training(
     """
     schedule = schedule or TrainingSchedule()
     params = init_params.copy()
-    if spec.uses_soft_targets:
+    regime = REGIMES[spec.mode]
+    soft_rows = None
+    if regime.soft_targets:
         if soft_targets is None:
             raise InvalidArgumentError(f"regime {spec.mode!r} requires soft targets")
         check_alignment(train_set, soft_targets)
+        if soft_targets.temperature != spec.temperature:
+            raise AlignmentError(
+                f"soft targets were recorded at T={soft_targets.temperature:g}, "
+                f"regime {spec.mode!r} trains at T={spec.temperature:g}"
+            )
         soft_rows = soft_targets.rows
-    else:
-        soft_rows = None
     teacher_logits = None
-    if spec.mode == "logitmatch":
+    if regime.teacher_logits:
         if teacher is None:
-            raise InvalidArgumentError("regime 'logitmatch' requires the teacher model")
+            raise InvalidArgumentError(f"regime {spec.mode!r} requires the teacher model")
         teacher_logits = ff_forward(teacher, train_set.features)
-
-    if spec.mode == "pretrain":
-        phases = [
-            (
-                DistillLossSpec("soft", spec.alpha, spec.temperature, spec.scale_soft_by_t2),
-                schedule.pretrain_switch_epoch,
-            ),
-            (DistillLossSpec("hard", spec.alpha), None),
-        ]
-    else:
-        phases = [(spec, None)]
+    phases = [
+        (
+            DistillLossSpec(mode, spec.alpha, spec.temperature),
+            schedule.pretrain_switch_epoch if n < len(regime.phases) - 1 else None,
+        )
+        for n, mode in enumerate(regime.phases)
+    ]
 
     record = RunRecord(
         model=model_tag,

@@ -4,7 +4,7 @@ of malformed files."""
 import numpy as np
 import pytest
 
-from kdtrain.datasets import SynthTaskSpec, generate_synth
+from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import SoftTargetSet, export_soft_targets
 from kdtrain.errors import FormatError
 from kdtrain.feedforward import init_feedforward
@@ -50,6 +50,18 @@ class TestDatasetFormat:
         ]
         write_dataset(tmp_path / "d2.dkds", loaded)
         assert (tmp_path / "d.dkds").read_bytes() == (tmp_path / "d2.dkds").read_bytes()
+
+    def test_labels_beyond_u16_rejected_before_writing(self, tmp_path):
+        """K = 70,000 is a valid dataset, but label 65,536 would wrap to 0
+        in the u16 label field; nothing may be written."""
+        ds = FrameDataset([Utterance(0, 0, 2)], np.zeros((2, 3)), [65_535, 65_536], 70_000)
+        path = tmp_path / "wide.dkds"
+        with pytest.raises(FormatError, match="65536"):
+            write_dataset(path, ds)
+        assert not path.exists()
+        ds.labels[1] = 65_535
+        write_dataset(path, ds)
+        np.testing.assert_array_equal(read_dataset(path).labels, [65_535, 65_535])
 
     def test_bad_magic_rejected(self, dataset, tmp_path):
         raw = bytearray(dataset_bytes(dataset))

@@ -4,7 +4,8 @@ Forward is checked against an independently coded per-frame recurrence
 and against hand-forced gate configurations; backward is checked with
 central finite differences over every parameter and with the
 window-splitting identity (threading state gradients across a split
-must reproduce the unsplit gradients).
+must reproduce the unsplit gradients). A single stream is a batch of
+S = 1: windows are (1, F, D) and logits (1, F, K).
 """
 
 import numpy as np
@@ -15,10 +16,8 @@ from kdtrain.errors import InvalidStateError, ShapeError
 from kdtrain.lstm import (
     LstmLayerParams,
     LstmProjParams,
-    RecurrentState,
     init_lstm,
-    lstm_backward,
-    lstm_forward,
+    lstm_backward_batch,
     lstm_forward_batch,
     zeros_state,
 )
@@ -61,9 +60,9 @@ class TestForward:
         p = small_lstm(0)
         for a in p.arrays():
             a[:] = 0.0
-        window = np.random.default_rng(1).normal(size=(4, 3))
-        logits, state, _ = lstm_forward(p, window, zeros_state(p))
-        np.testing.assert_array_equal(logits, np.zeros((4, 3)))
+        window = np.random.default_rng(1).normal(size=(1, 4, 3))
+        logits, state, _ = lstm_forward_batch(p, window, zeros_state(p, 1))
+        np.testing.assert_array_equal(logits, np.zeros((1, 4, 3)))
         for c, r in zip(state.cells, state.projected):
             np.testing.assert_array_equal(c, np.zeros_like(c))
             np.testing.assert_array_equal(r, np.zeros_like(r))
@@ -77,37 +76,37 @@ class TestForward:
         bias = np.array([500.0, -500.0, 0.0, 500.0])  # saturate i=1, f=0, o=1
         layer = LstmLayerParams(w_x, np.zeros((4, 1)), bias, np.ones((1, 1)))
         p = LstmProjParams([layer], np.eye(1), np.zeros(1))
-        window = np.random.default_rng(2).normal(size=(6, 2))
-        logits, state, cache = lstm_forward(p, window, zeros_state(p))
-        expected_cells = np.tanh(window @ w_g[0])
+        window = np.random.default_rng(2).normal(size=(1, 6, 2))
+        logits, state, cache = lstm_forward_batch(p, window, zeros_state(p, 1))
+        expected_cells = np.tanh(window[0] @ w_g[0])
         np.testing.assert_allclose(cache.layers[0].c[0, :, 0], expected_cells, atol=1e-12)
-        np.testing.assert_allclose(logits[:, 0], np.tanh(expected_cells), atol=1e-12)
+        np.testing.assert_allclose(logits[0, :, 0], np.tanh(expected_cells), atol=1e-12)
 
     def test_matches_naive_recurrence(self):
         p = small_lstm(3, cells=4, projection=2, d=3, k=5)
         window = np.random.default_rng(4).normal(size=(7, 3))
-        logits, _, _ = lstm_forward(p, window, zeros_state(p))
-        np.testing.assert_allclose(logits, naive_single_layer(p, window), atol=1e-12)
+        logits, _, _ = lstm_forward_batch(p, window[np.newaxis], zeros_state(p, 1))
+        np.testing.assert_allclose(logits[0], naive_single_layer(p, window), atol=1e-12)
 
     def test_split_window_is_bit_identical(self):
         """F=1 windows with carried state equal one F=2 window exactly."""
         p = small_lstm(5, layers=2)
-        w = np.random.default_rng(6).normal(size=(2, 3))
-        l1, s1, _ = lstm_forward(p, w[:1], zeros_state(p))
-        l2, s2, _ = lstm_forward(p, w[1:], s1)
-        full, sf, _ = lstm_forward(p, w, zeros_state(p))
-        np.testing.assert_array_equal(np.vstack([l1, l2]), full)
+        w = np.random.default_rng(6).normal(size=(1, 2, 3))
+        l1, s1, _ = lstm_forward_batch(p, w[:, :1], zeros_state(p, 1))
+        l2, s2, _ = lstm_forward_batch(p, w[:, 1:], s1)
+        full, sf, _ = lstm_forward_batch(p, w, zeros_state(p, 1))
+        np.testing.assert_array_equal(np.concatenate([l1, l2], axis=1), full)
         for a, b in zip(s2.cells + s2.projected, sf.cells + sf.projected):
             np.testing.assert_array_equal(a, b)
 
     def test_split_anywhere_is_bit_identical(self):
         p = small_lstm(7)
-        w = np.random.default_rng(8).normal(size=(9, 3))
-        full, _, _ = lstm_forward(p, w, zeros_state(p))
+        w = np.random.default_rng(8).normal(size=(1, 9, 3))
+        full, _, _ = lstm_forward_batch(p, w, zeros_state(p, 1))
         for cut in range(1, 9):
-            a, s, _ = lstm_forward(p, w[:cut], zeros_state(p))
-            b, _, _ = lstm_forward(p, w[cut:], s)
-            np.testing.assert_array_equal(np.vstack([a, b]), full)
+            a, s, _ = lstm_forward_batch(p, w[:, :cut], zeros_state(p, 1))
+            b, _, _ = lstm_forward_batch(p, w[:, cut:], s)
+            np.testing.assert_array_equal(np.concatenate([a, b], axis=1), full)
 
     def test_batch_matches_single_streams(self):
         p = small_lstm(9, cells=5, projection=3)
@@ -115,25 +114,29 @@ class TestForward:
         windows = rng.normal(size=(4, 6, 3))
         batch_logits, batch_state, _ = lstm_forward_batch(p, windows, zeros_state(p, 4))
         for s in range(4):
-            logits, state, _ = lstm_forward(p, windows[s], zeros_state(p))
-            np.testing.assert_allclose(batch_logits[s], logits, atol=1e-12)
-            np.testing.assert_allclose(batch_state.cells[0][s], state.cells[0], atol=1e-12)
+            logits, state, _ = lstm_forward_batch(p, windows[s : s + 1], zeros_state(p, 1))
+            np.testing.assert_allclose(batch_logits[s], logits[0], atol=1e-12)
+            np.testing.assert_allclose(batch_state.cells[0][s], state.cells[0][0], atol=1e-12)
 
     def test_deterministic(self):
         p = small_lstm(11)
-        w = np.random.default_rng(12).normal(size=(5, 3))
-        a, _, _ = lstm_forward(p, w, zeros_state(p))
-        b, _, _ = lstm_forward(p, w, zeros_state(p))
+        w = np.random.default_rng(12).normal(size=(1, 5, 3))
+        a, _, _ = lstm_forward_batch(p, w, zeros_state(p, 1))
+        b, _, _ = lstm_forward_batch(p, w, zeros_state(p, 1))
         np.testing.assert_array_equal(a, b)
 
     def test_shape_validation(self):
         p = small_lstm(13)
+        with pytest.raises(ShapeError):  # wrong input dim
+            lstm_forward_batch(p, np.zeros((1, 4, 5)), zeros_state(p, 1))
+        with pytest.raises(ShapeError):  # no stream axis
+            lstm_forward_batch(p, np.zeros((4, 3)), zeros_state(p, 1))
+        with pytest.raises(ShapeError):  # state for a different stream count
+            lstm_forward_batch(p, np.zeros((1, 4, 3)), zeros_state(p, 2))
+        bad_state = zeros_state(p, 1)
+        bad_state.cells[0] = np.zeros((1, 7))
         with pytest.raises(ShapeError):
-            lstm_forward(p, np.zeros((4, 5)), zeros_state(p))  # wrong input dim
-        bad_state = zeros_state(p)
-        bad_state.cells[0] = np.zeros(7)
-        with pytest.raises(ShapeError):
-            lstm_forward(p, np.zeros((4, 3)), bad_state)
+            lstm_forward_batch(p, np.zeros((1, 4, 3)), bad_state)
 
     def test_projection_wider_than_cells_rejected(self):
         with pytest.raises(ShapeError):
@@ -143,9 +146,9 @@ class TestForward:
 class TestBackward:
     def test_zero_grads_in_zero_grads_out(self):
         p = small_lstm(15)
-        w = np.random.default_rng(16).normal(size=(5, 3))
-        _, _, cache = lstm_forward(p, w, zeros_state(p))
-        grads, state_grad = lstm_backward(p, cache, np.zeros((5, 3)))
+        w = np.random.default_rng(16).normal(size=(1, 5, 3))
+        _, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
+        grads, state_grad = lstm_backward_batch(p, cache, np.zeros((1, 5, 3)))
         for a in grads.arrays():
             np.testing.assert_array_equal(a, np.zeros_like(a))
         for a in state_grad.cells + state_grad.projected:
@@ -168,20 +171,20 @@ class TestBackward:
     @staticmethod
     def _check_grads(p, seed, step=1e-4):
         rng = np.random.default_rng(1000 + seed)
-        w = rng.normal(size=(5, 3))
+        w = rng.normal(size=(1, 5, 3))
         labels = rng.integers(0, 3, size=5)
         targets = one_hot_rows(labels, 3)
 
         def loss(vec):
             trial = p.copy()
             unpack_into(vec, trial.arrays())
-            logits, _, _ = lstm_forward(trial, w, zeros_state(trial))
-            losses, _, _ = batch_soft_loss(logits, targets, 1.0, False)
+            logits, _, _ = lstm_forward_batch(trial, w, zeros_state(trial, 1))
+            losses, _, _ = batch_soft_loss(logits[0], targets, 1.0, False)
             return losses.mean()
 
-        logits, _, cache = lstm_forward(p, w, zeros_state(p))
-        _, grad_rows, _ = batch_soft_loss(logits, targets, 1.0, False)
-        grads, _ = lstm_backward(p, cache, grad_rows / len(labels))
+        logits, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
+        _, grad_rows, _ = batch_soft_loss(logits[0], targets, 1.0, False)
+        grads, _ = lstm_backward_batch(p, cache, grad_rows[np.newaxis] / len(labels))
         err = finite_diff_check(loss, pack(p.arrays()), pack(grads.arrays()), step=step)
         assert err < 1e-4, f"seed {seed}: {err}"
 
@@ -189,9 +192,9 @@ class TestBackward:
         """Nonzero logit gradients with nonzero cell output must reach
         the projection matrix."""
         p = small_lstm(17)
-        w = np.random.default_rng(18).normal(size=(5, 3)) + 1.0
-        logits, _, cache = lstm_forward(p, w, zeros_state(p))
-        grads, _ = lstm_backward(p, cache, np.ones_like(logits))
+        w = np.random.default_rng(18).normal(size=(1, 5, 3)) + 1.0
+        logits, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
+        grads, _ = lstm_backward_batch(p, cache, np.ones_like(logits))
         assert np.abs(grads.layers[0].w_p).max() > 0
 
     def test_state_gradient_threading_reproduces_unsplit_gradients(self):
@@ -199,16 +202,16 @@ class TestBackward:
         the cut, equals backward over the full window."""
         p = small_lstm(19, layers=2, cells=4, projection=2)
         rng = np.random.default_rng(20)
-        w = rng.normal(size=(6, 3))
-        g = rng.normal(size=(6, 3))
+        w = rng.normal(size=(1, 6, 3))
+        g = rng.normal(size=(1, 6, 3))
 
-        _, _, cache_full = lstm_forward(p, w, zeros_state(p))
-        grads_full, sg_full = lstm_backward(p, cache_full, g)
+        _, _, cache_full = lstm_forward_batch(p, w, zeros_state(p, 1))
+        grads_full, sg_full = lstm_backward_batch(p, cache_full, g)
 
-        _, s1, cache_a = lstm_forward(p, w[:3], zeros_state(p))
-        _, _, cache_b = lstm_forward(p, w[3:], s1)
-        grads_b, sg_mid = lstm_backward(p, cache_b, g[3:])
-        grads_a, sg_start = lstm_backward(p, cache_a, g[:3], state_grad_in=sg_mid)
+        _, s1, cache_a = lstm_forward_batch(p, w[:, :3], zeros_state(p, 1))
+        _, _, cache_b = lstm_forward_batch(p, w[:, 3:], s1)
+        grads_b, sg_mid = lstm_backward_batch(p, cache_b, g[:, 3:])
+        grads_a, sg_start = lstm_backward_batch(p, cache_a, g[:, :3], state_grad_in=sg_mid)
 
         combined = [x.copy() for x in grads_a.arrays()]
         add_scaled(combined, grads_b.arrays())
@@ -221,18 +224,20 @@ class TestBackward:
 
     def test_stale_cache_rejected(self):
         p = small_lstm(21)
-        w = np.random.default_rng(22).normal(size=(4, 3))
-        _, _, cache = lstm_forward(p, w, zeros_state(p))
+        w = np.random.default_rng(22).normal(size=(1, 4, 3))
+        _, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
         other = p.copy()
         with pytest.raises(InvalidStateError):
-            lstm_backward(other, cache, np.zeros((4, 3)))
+            lstm_backward_batch(other, cache, np.zeros((1, 4, 3)))
 
     def test_logit_grad_shape_rejected(self):
         p = small_lstm(23)
-        w = np.random.default_rng(24).normal(size=(4, 3))
-        _, _, cache = lstm_forward(p, w, zeros_state(p))
+        w = np.random.default_rng(24).normal(size=(1, 4, 3))
+        _, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
         with pytest.raises(ShapeError):
-            lstm_backward(p, cache, np.zeros((5, 3)))
+            lstm_backward_batch(p, cache, np.zeros((1, 5, 3)))
+        with pytest.raises(ShapeError):  # no stream axis
+            lstm_backward_batch(p, cache, np.zeros((4, 3)))
 
 
 class TestInit:
