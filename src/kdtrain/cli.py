@@ -28,6 +28,7 @@ from .errors import (
 from .feedforward import init_feedforward
 from .formats import (
     RunRecord,
+    checkpoint_digest,
     export_manifest_text,
     read_checkpoint,
     read_dataset,
@@ -274,7 +275,9 @@ def cmd_variance_report(
     train = _load_split(out, "train")
     if student_path:
         student = read_checkpoint(student_path)
-        origin = student_path
+        # name and content, not the path: the report must not depend on
+        # the directory the command runs from
+        origin = f"{Path(student_path).name} sha256 {checkpoint_digest(student).hex()}"
     else:
         layers, cells, projection = cfg.student_shape
         student = init_lstm(

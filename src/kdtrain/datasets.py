@@ -19,6 +19,7 @@ time (then kept as float64 in memory), which makes file round trips
 bit-exact.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,30 +172,42 @@ def _resolve_task(spec: SynthTaskSpec, rng: np.random.Generator):
     return centroids, transitions, noise
 
 
-def _blend_means(labels: np.ndarray, centroids: np.ndarray, blend: int) -> np.ndarray:
+def _blend_means(
+    labels: np.ndarray, first: np.ndarray, centroids: np.ndarray, blend: int
+) -> np.ndarray:
     """Per-frame mean vectors: the own-class centroid, blended toward the
-    adjacent class within ``blend`` frames of the nearest transition.
+    adjacent class within ``blend`` frames of a label transition.
 
-    The frame right at a boundary keeps weight 0.5 + 1/(4*blend) on its
-    own class; weights ramp linearly back to 1 with distance.
+    ``first`` marks the first frame of each utterance; no transition
+    crosses it. For each transition in frame order and each distance
+    k < ``blend``, the frame k before it (if it has the outgoing label)
+    and then the frame k after it (if it has the incoming label) take
+    weight 0.5 - (k + 0.5)/(2*blend) on the other label's centroid, and
+    a later write to a frame replaces an earlier one. So the frame right
+    at a boundary keeps weight 0.5 + 1/(4*blend) on its own class, and
+    weights ramp linearly back to 1 with distance.
     """
-    n = labels.size
-    means = centroids[labels].copy()
-    if blend == 0 or n < 2:
+    means = centroids[labels]
+    if blend == 0:
         return means
-    changes = np.flatnonzero(labels[1:] != labels[:-1]) + 1  # first frame of each new segment
-    for j in changes:
-        for k in range(blend):
-            # left side: last frames of the outgoing segment
-            li = j - 1 - k
-            if li >= 0 and labels[li] == labels[j - 1]:
-                w = 0.5 - (k + 0.5) / (2 * blend)
-                means[li] = (1.0 - w) * centroids[labels[li]] + w * centroids[labels[j]]
-            # right side: first frames of the incoming segment
-            ri = j + k
-            if ri < n and labels[ri] == labels[j]:
-                w = 0.5 - (k + 0.5) / (2 * blend)
-                means[ri] = (1.0 - w) * centroids[labels[ri]] + w * centroids[labels[j - 1]]
+    utt = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], labels.size)
+    j = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    j = np.repeat(j[~first[j]], blend)  # first frame of each new segment, per k
+    k = np.tile(np.arange(blend), j.size // blend)
+    # the writes in order: per (transition, k), the left frame, then the right one
+    target = np.stack([j - 1 - k, j + k], axis=1).ravel()
+    own = np.stack([labels[j - 1], labels[j]], axis=1).ravel()
+    other = np.stack([labels[j], labels[j - 1]], axis=1).ravel()
+    k = np.repeat(k, 2)
+    inside = (target >= np.repeat(starts[utt[j]], 2)) & (target < np.repeat(ends[utt[j]], 2))
+    hit = inside & (labels[np.where(inside, target, 0)] == own)
+    target, own, other, k = target[hit], own[hit], other[hit], k[hit]
+    _, from_end = np.unique(target[::-1], return_index=True)
+    last = target.size - 1 - from_end  # the write that stays
+    w = (0.5 - (k[last] + 0.5) / (2 * blend))[:, np.newaxis]
+    means[target[last]] = (1.0 - w) * centroids[own[last]] + w * centroids[other[last]]
     return means
 
 
@@ -207,34 +220,53 @@ def _generate_split(
     noise: np.ndarray,
     rng: np.random.Generator,
 ) -> FrameDataset:
-    utterances = []
-    feature_chunks = []
-    label_chunks = []
-    offset = 0
     k = spec.num_classes
+    # rng.choice(k, p=row) draws one rng.random() and bisects the row's
+    # normalised cumulative sum to the right; drawing an utterance's
+    # chain with one rng.random(length - 1) call does the same with the
+    # same draws in the same order
+    cdfs = []
+    for row in transitions:
+        cdf = row.cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf.tolist())
+    utterances = []
+    label_chunks = []
+    eps_chunks = []
+    offset = 0
     for i in range(count):
         length = int(rng.integers(spec.min_frames, spec.max_frames + 1))
-        labels = np.empty(length, dtype=np.int64)
-        labels[0] = rng.integers(0, k)
-        for t in range(1, length):
-            labels[t] = rng.choice(k, p=transitions[labels[t - 1]])
-        means = _blend_means(labels, centroids, spec.blend_frames)
-        eps = rng.normal(size=(length, spec.feature_dim))
-        if spec.noise_corr > 0.0:
-            # AR(1) walk with unit marginal variance, reset per utterance
-            rho = spec.noise_corr
-            mix = np.sqrt(1.0 - rho * rho)
-            for t in range(1, length):
-                eps[t] = rho * eps[t - 1] + mix * eps[t]
-        feats = means + noise[labels][:, np.newaxis] * eps
-        feature_chunks.append(feats)
-        label_chunks.append(labels)
+        label = int(rng.integers(0, k))
+        labels = [label]
+        for u in rng.random(length - 1).tolist():
+            label = bisect_right(cdfs[label], u)
+            labels.append(label)
+        label_chunks.append(np.array(labels, dtype=np.int64))
+        eps_chunks.append(rng.normal(size=(length, spec.feature_dim)))
         utterances.append(Utterance(first_uid + i, offset, length))
         offset += length
-    features = np.concatenate(feature_chunks, axis=0)
+
+    # white noise of all utterances, padded to the longest one
+    lengths = np.array([u.count for u in utterances])
+    eps = np.zeros((count, lengths.max(), spec.feature_dim))
+    for u, chunk in enumerate(eps_chunks):
+        eps[u, : len(chunk)] = chunk
+    if spec.noise_corr > 0.0:
+        # AR(1) walk with unit marginal variance, reset per utterance
+        rho = spec.noise_corr
+        mix = np.sqrt(1.0 - rho * rho)
+        for t in range(1, eps.shape[1]):
+            eps[:, t] = rho * eps[:, t - 1] + mix * eps[:, t]
+    eps = eps[np.arange(eps.shape[1]) < lengths[:, np.newaxis]]
+
+    labels = np.concatenate(label_chunks)
+    first = np.zeros(labels.size, dtype=bool)
+    first[[u.offset for u in utterances]] = True
+    means = _blend_means(labels, first, centroids, spec.blend_frames)
+    features = means + noise[labels][:, np.newaxis] * eps
     # canonicalize to 32-bit values so disk round trips are bit-exact
     features = features.astype(np.float32).astype(np.float64)
-    return FrameDataset(utterances, features, np.concatenate(label_chunks), k)
+    return FrameDataset(utterances, features, labels, k)
 
 
 def generate_synth(spec: SynthTaskSpec, seed: int) -> SplitSet:

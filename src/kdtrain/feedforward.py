@@ -12,12 +12,17 @@ from .errors import ShapeError
 from .numeric import require_finite
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function 1 / (1 + exp(-x)), evaluated as
+    0.5 * (1 + tanh(x / 2)).
+
+    tanh saturates at +-1 instead of overflowing, so there is no branch
+    on the sign: the result is exactly 0 or 1 far out in the tails and
+    never NaN for finite input.
+    """
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 

@@ -9,9 +9,29 @@ projected output to K logits.
 
 Backward is truncated BPTT: gradients flow frame to frame inside a
 window but stop at window boundaries unless the caller threads explicit
-state gradients. All per-frame arithmetic uses one fixed sequence of
-operations, so splitting a window at any frame boundary and carrying
-the state reproduces the unsplit results bit for bit.
+state gradients. Forward runs one fixed sequence of operations per
+frame, on operands whose shapes and layout do not depend on the window
+length F, so splitting a window at any frame boundary and carrying the
+state reproduces the unsplit logits and state bit for bit.
+
+At desk sizes (S = 4 streams, C = 64 cells) a numpy call costs more
+than its arithmetic, so a step makes few calls per frame:
+
+- A window is transposed once to time-major (F, S, .), so frame t of
+  every stream is one contiguous block. Each layer's cache is
+  preallocated time-major and the time loop writes into it with
+  ``out=``. One sigmoid call covers a frame's whole (S, 4C) gate block;
+  the g slice is then overwritten with tanh.
+- Backward forms the gate-derivative factors for the whole window
+  before its time loop, which then carries only the recurrence. After
+  the loop, each weight gradient is one GEMM (one sum for the bias)
+  over the stacked (F * S) frame rows, so gradients of a split window
+  match the unsplit ones to rounding, not bitwise.
+- The matmuls of forward (input, recurrent, projection, logit head)
+  stay per frame. A GEMM over the stacked (F * S) rows rounds a row
+  differently from the per-frame S-row GEMM on some BLAS builds
+  (OpenBLAS at D = 32 by about 1e-14), which would break the bitwise
+  split identity.
 """
 
 from dataclasses import dataclass, field
@@ -139,22 +159,6 @@ def init_lstm(
     return LstmProjParams(layer_list, w_out, np.zeros(num_classes))
 
 
-def zeros_like_lstm(params: LstmProjParams) -> LstmProjParams:
-    return LstmProjParams(
-        [
-            LstmLayerParams(
-                np.zeros_like(l.w_x),
-                np.zeros_like(l.w_r),
-                np.zeros_like(l.bias),
-                np.zeros_like(l.w_p),
-            )
-            for l in params.layers
-        ],
-        np.zeros_like(params.w_out),
-        np.zeros_like(params.b_out),
-    )
-
-
 @dataclass
 class RecurrentState:
     """Per-layer cell state and projected output, carried across windows.
@@ -179,16 +183,25 @@ def zeros_state(params: LstmProjParams, batch: int) -> RecurrentState:
 
 @dataclass
 class _LayerCache:
-    x: np.ndarray  # (S, F, D_in) layer input sequence
-    i: np.ndarray  # (S, F, C)
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray  # (S, F, C)
-    tc: np.ndarray  # tanh(c)
-    r: np.ndarray  # (S, F, P)
-    c0: np.ndarray  # (S, C)
-    r0: np.ndarray  # (S, P)
+    """One layer's activations over a window, time-major: frame t of
+    stream s sits at [t, s], so each frame is one contiguous (S, .)
+    block. The state arrays hold F + 1 frames; frame 0 is the incoming
+    state, so ``c_seq[t]`` is the cell state before frame t."""
+
+    x: np.ndarray  # (F, S, D_in) layer input sequence
+    gates: np.ndarray  # (F, S, 4C) activated gates [i, f, g, o]
+    c_seq: np.ndarray  # (F + 1, S, C) cell states
+    tc: np.ndarray  # (F, S, C) tanh(c)
+    m: np.ndarray  # (F, S, C) cell output o * tanh(c), the projection's input
+    r_seq: np.ndarray  # (F + 1, S, P) projected outputs
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.c_seq[1:]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.r_seq[1:]
 
 
 @dataclass
@@ -213,6 +226,40 @@ def _check_state(params: LstmProjParams, state: RecurrentState, batch: int) -> N
             )
 
 
+def _layer_forward(layer: LstmLayerParams, seq: np.ndarray, c0, r0) -> _LayerCache:
+    """Run one layer over a time-major (F, S, D_in) sequence from the
+    incoming state (c0, r0)."""
+    frames, s = seq.shape[:2]
+    c_dim = layer.cell_dim
+    i_, f_, g_, o_ = (slice(k * c_dim, (k + 1) * c_dim) for k in range(4))
+    lc = _LayerCache(
+        x=seq,
+        gates=np.empty((frames, s, 4 * c_dim)),
+        c_seq=np.empty((frames + 1, s, c_dim)),
+        tc=np.empty((frames, s, c_dim)),
+        m=np.empty((frames, s, c_dim)),
+        r_seq=np.empty((frames + 1, s, layer.proj_dim)),
+    )
+    c_seq, r_seq, tc, m = lc.c_seq, lc.r_seq, lc.tc, lc.m
+    c_seq[0] = c0
+    r_seq[0] = r0
+    gate_i, gate_f, gate_g, gate_o = (lc.gates[:, :, k] for k in (i_, f_, g_, o_))
+    w_xt, w_rt, w_pt, bias = layer.w_x.T, layer.w_r.T, layer.w_p.T, layer.bias
+    for t in range(frames):
+        a = seq[t] @ w_xt
+        a += r_seq[t] @ w_rt
+        a += bias
+        lc.gates[t] = sigmoid(a)
+        np.tanh(a[:, g_], out=gate_g[t])
+        c_t = c_seq[t + 1]
+        np.multiply(gate_f[t], c_seq[t], out=c_t)
+        c_t += gate_i[t] * gate_g[t]
+        np.tanh(c_t, out=tc[t])
+        np.multiply(gate_o[t], tc[t], out=m[t])
+        np.matmul(m[t], w_pt, out=r_seq[t + 1])
+    return lc
+
+
 def lstm_forward_batch(
     params: LstmProjParams, windows: np.ndarray, state_in: RecurrentState
 ) -> tuple[np.ndarray, RecurrentState, LstmCache]:
@@ -231,61 +278,77 @@ def lstm_forward_batch(
     _check_state(params, state_in, s)
 
     layer_caches = []
-    out_cells, out_proj = [], []
-    seq = x
+    seq = np.ascontiguousarray(x.transpose(1, 0, 2))
     for li, layer in enumerate(params.layers):
-        c_dim, p_dim = layer.cell_dim, layer.proj_dim
-        cache = _LayerCache(
-            x=seq,
-            i=np.empty((s, frames, c_dim)),
-            f=np.empty((s, frames, c_dim)),
-            g=np.empty((s, frames, c_dim)),
-            o=np.empty((s, frames, c_dim)),
-            c=np.empty((s, frames, c_dim)),
-            tc=np.empty((s, frames, c_dim)),
-            r=np.empty((s, frames, p_dim)),
-            c0=state_in.cells[li].copy(),
-            r0=state_in.projected[li].copy(),
-        )
-        c_prev = cache.c0
-        r_prev = cache.r0
-        for t in range(frames):
-            # contiguous per-frame slice: every matmul below then has an
-            # F-independent shape and layout, which keeps window splits
-            # bit-exact (BLAS kernels vary with operand shape)
-            x_t = np.ascontiguousarray(seq[:, t])
-            a = x_t @ layer.w_x.T + r_prev @ layer.w_r.T + layer.bias
-            i_t = sigmoid(a[:, :c_dim])
-            f_t = sigmoid(a[:, c_dim : 2 * c_dim])
-            g_t = np.tanh(a[:, 2 * c_dim : 3 * c_dim])
-            o_t = sigmoid(a[:, 3 * c_dim :])
-            c_t = f_t * c_prev + i_t * g_t
-            tc_t = np.tanh(c_t)
-            r_t = (o_t * tc_t) @ layer.w_p.T
-            cache.i[:, t] = i_t
-            cache.f[:, t] = f_t
-            cache.g[:, t] = g_t
-            cache.o[:, t] = o_t
-            cache.c[:, t] = c_t
-            cache.tc[:, t] = tc_t
-            cache.r[:, t] = r_t
-            c_prev = c_t
-            r_prev = r_t
-        layer_caches.append(cache)
-        out_cells.append(c_prev.copy())
-        out_proj.append(r_prev.copy())
-        seq = cache.r
+        lc = _layer_forward(layer, seq, state_in.cells[li], state_in.projected[li])
+        layer_caches.append(lc)
+        seq = lc.r
 
-    logits = np.empty((s, frames, params.output_dim))
-    top = layer_caches[-1]
+    logits = np.empty((frames, s, params.output_dim))
+    w_out_t = params.w_out.T
     for t in range(frames):
-        logits[:, t] = np.ascontiguousarray(top.r[:, t]) @ params.w_out.T + params.b_out
+        np.matmul(seq[t], w_out_t, out=logits[t])
+    logits += params.b_out
     require_finite(logits, "LSTM logits")
+    out_cells = [lc.c_seq[-1].copy() for lc in layer_caches]
+    out_proj = [lc.r_seq[-1].copy() for lc in layer_caches]
     for c, r in zip(out_cells, out_proj):
         require_finite(c, "LSTM cell state")
         require_finite(r, "LSTM projected state")
     state_out = RecurrentState(out_cells, out_proj)
+    logits = np.ascontiguousarray(logits.transpose(1, 0, 2))
     return logits, state_out, LstmCache(params, layer_caches, s, frames)
+
+
+def _layer_backward(
+    layer: LstmLayerParams,
+    lc: _LayerCache,
+    d_seq: np.ndarray,
+    dc_next: np.ndarray,
+    dr_carry: np.ndarray,
+    want_dx: bool,
+):
+    """Backward through one layer given d_seq, the (F, S, P) gradient
+    arriving at its projected outputs from above, and the gradients at
+    its final state. Returns (weight gradients, dx (F, S, D_in) or None,
+    d cell state in, d projection in)."""
+    frames, s, four_c = lc.gates.shape
+    c_dim = four_c // 4
+    # one copy makes each gate a contiguous (F, S, C) block
+    i_t, f_t, g_t, o_t = np.moveaxis(lc.gates.reshape(frames, s, 4, c_dim), 2, 0).copy()
+    tc = lc.tc
+
+    # per-frame factors of the recurrence, as whole-window ops
+    d_ifg = np.empty((frames, s, 3, c_dim))  # d a_{i,f,g} = d_ifg * dc
+    np.multiply(g_t, i_t * (1.0 - i_t), out=d_ifg[:, :, 0])
+    np.multiply(lc.c_seq[:-1], f_t * (1.0 - f_t), out=d_ifg[:, :, 1])
+    np.multiply(i_t, 1.0 - g_t * g_t, out=d_ifg[:, :, 2])
+    d_o = tc * o_t * (1.0 - o_t)  # d a_o = d_o * dm
+    dm_dc = o_t * (1.0 - tc * tc)  # dc gains dm * dm_dc
+
+    da = np.empty((frames, s, 4, c_dim))
+    dr = np.empty((frames, s, layer.proj_dim))
+    w_p, w_r = layer.w_p, layer.w_r
+    for t in range(frames - 1, -1, -1):
+        np.add(d_seq[t], dr_carry, out=dr[t])
+        dm = dr[t] @ w_p
+        dc = dm * dm_dc[t]
+        dc += dc_next
+        np.multiply(d_ifg[t], dc[:, np.newaxis], out=da[t, :, :3])
+        np.multiply(dm, d_o[t], out=da[t, :, 3])
+        dr_carry = da[t].reshape(s, four_c) @ w_r
+        dc_next = dc * f_t[t]
+
+    # weight gradients as one GEMM over the stacked (F * S) frame rows
+    da_rows = da.reshape(frames * s, four_c)
+    grads = LstmLayerParams(
+        da_rows.T @ lc.x.reshape(frames * s, -1),
+        da_rows.T @ lc.r_seq[:-1].reshape(frames * s, -1),
+        da_rows.sum(axis=0),
+        dr.reshape(frames * s, -1).T @ lc.m.reshape(frames * s, c_dim),
+    )
+    dx = (da_rows @ layer.w_x).reshape(frames, s, -1) if want_dx else None
+    return grads, dx, dc_next, dr_carry
 
 
 def lstm_backward_batch(
@@ -312,55 +375,26 @@ def lstm_backward_batch(
     if state_grad_in is not None:
         _check_state(params, state_grad_in, s)
 
-    grads = zeros_like_lstm(params)
+    flat_g = np.ascontiguousarray(g_logits.transpose(1, 0, 2)).reshape(frames * s, -1)
     top = cache.layers[-1].r
-    flat_g = g_logits.reshape(s * frames, -1)
-    grads.w_out[:] = flat_g.T @ top.reshape(s * frames, -1)
-    grads.b_out[:] = flat_g.sum(axis=0)
-    d_seq = g_logits @ params.w_out  # (S, F, P) gradient wrt top projected outputs
+    w_out_grad = flat_g.T @ top.reshape(frames * s, -1)
+    d_seq = (flat_g @ params.w_out).reshape(frames, s, -1)
 
-    grad_cells, grad_proj = [], []
+    layer_grads, grad_cells, grad_proj = [], [], []
     for li in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[li]
-        lc = cache.layers[li]
-        c_dim = layer.cell_dim
-        lg = grads.layers[li]
-        dc_next = (
-            state_grad_in.cells[li].copy()
-            if state_grad_in is not None
-            else np.zeros((s, c_dim))
+        if state_grad_in is not None:
+            dc_next, dr_carry = state_grad_in.cells[li], state_grad_in.projected[li]
+        else:
+            dc_next, dr_carry = np.zeros((s, layer.cell_dim)), np.zeros((s, layer.proj_dim))
+        lg, d_seq, dc_in, dr_in = _layer_backward(
+            layer, cache.layers[li], d_seq, dc_next, dr_carry, li > 0
         )
-        dr_carry = (
-            state_grad_in.projected[li].copy()
-            if state_grad_in is not None
-            else np.zeros((s, layer.proj_dim))
-        )
-        dx_seq = np.empty_like(lc.x)
-        da = np.empty((s, 4 * c_dim))
-        for t in range(frames - 1, -1, -1):
-            i_t, f_t, g_t, o_t = lc.i[:, t], lc.f[:, t], lc.g[:, t], lc.o[:, t]
-            tc_t = lc.tc[:, t]
-            c_prev = lc.c[:, t - 1] if t > 0 else lc.c0
-            r_prev = lc.r[:, t - 1] if t > 0 else lc.r0
+        layer_grads.append(lg)
+        grad_cells.append(dc_in)
+        grad_proj.append(dr_in)
 
-            dr = d_seq[:, t] + dr_carry
-            lg.w_p += dr.T @ (o_t * tc_t)
-            dm = dr @ layer.w_p
-            dc = dc_next + dm * o_t * (1.0 - tc_t * tc_t)
-            da[:, :c_dim] = dc * g_t * i_t * (1.0 - i_t)
-            da[:, c_dim : 2 * c_dim] = dc * c_prev * f_t * (1.0 - f_t)
-            da[:, 2 * c_dim : 3 * c_dim] = dc * i_t * (1.0 - g_t * g_t)
-            da[:, 3 * c_dim :] = dm * tc_t * o_t * (1.0 - o_t)
-            lg.w_x += da.T @ lc.x[:, t]
-            lg.w_r += da.T @ r_prev
-            lg.bias += da.sum(axis=0)
-            dx_seq[:, t] = da @ layer.w_x
-            dr_carry = da @ layer.w_r
-            dc_next = dc * f_t
-        grad_cells.append(dc_next)
-        grad_proj.append(dr_carry)
-        d_seq = dx_seq
-
-    grad_cells.reverse()
-    grad_proj.reverse()
+    for out in (layer_grads, grad_cells, grad_proj):
+        out.reverse()
+    grads = LstmProjParams(layer_grads, w_out_grad, flat_g.sum(axis=0))
     return grads, RecurrentState(grad_cells, grad_proj)

@@ -482,11 +482,14 @@ def run_training(
             started = time.perf_counter()
             shuffle_rng = derive_rng(master_seed, "shuffle", epoch_global)
             try:
-                mean_loss, tr_fa, var = _train_epoch(
-                    phase_spec, params, train_set, phase_rows, teacher_logits, schedule, opt,
-                    shuffle_rng,
-                )
-                cv_fa = frame_accuracy(params, cv_set)
+                # a diverging update reaches require_finite or the norm check
+                # in sgd_momentum_step, which report it; numpy need not warn first
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean_loss, tr_fa, var = _train_epoch(
+                        phase_spec, params, train_set, phase_rows, teacher_logits, schedule,
+                        opt, shuffle_rng,
+                    )
+                    cv_fa = frame_accuracy(params, cv_set)
             except NumericOverflowError as exc:
                 raise TrainingAborted(
                     f"numeric overflow in epoch {epoch_global + 1} "

@@ -2,6 +2,7 @@
 identity on rerun, the Table-1 report, and exit codes 0/1/2/3."""
 
 import hashlib
+import os
 import shutil
 
 import pytest
@@ -91,6 +92,21 @@ def test_report_has_one_row_per_regime(done):
     ]
 
 
+def test_variance_report_does_not_depend_on_the_student_path(done, tmp_path, monkeypatch):
+    """The same student, once by absolute and once by relative path,
+    into two output directories, gives byte-identical variance files."""
+    config, out = done
+    student = (out / "student_reg_T2_s3.dkdm").resolve()
+    first, second = (shutil.copytree(out, tmp_path / name) for name in ("a", "b"))
+    assert run(config, first, "variance-report", "--student", str(student)) == 0
+    monkeypatch.chdir(tmp_path)
+    assert run(config, second, "variance-report", "--student", os.path.relpath(student)) == 0
+    text = (first / "variance_s3.txt").read_bytes()
+    assert (second / "variance_s3.txt").read_bytes() == text
+    digest = hashlib.sha256(student.read_bytes()).hexdigest()
+    assert f"# student student_reg_T2_s3.dkdm sha256 {digest}\n".encode() in text
+
+
 def test_unknown_regime_exits_2(done):
     assert run(*done, "train-student", "--regime", "kaldi") == 2
 
@@ -121,7 +137,6 @@ def test_soft_targets_at_wrong_temperature_exit_3(done, tmp_path):
     assert not (copy / "student_soft_T1_s3.runrec").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_exits_1_and_keeps_last_good_epoch(tmp_path):
     config = write_config(tmp_path / "huge.yaml", train={"learning_rate": 1e308})
     out = tmp_path / "out"

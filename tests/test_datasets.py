@@ -1,5 +1,7 @@
 """Synthetic task generator and dataset invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from kdtrain.datasets import (
     FrameDataset,
     SynthTaskSpec,
     Utterance,
+    _blend_means,
     generate_synth,
     validate_soft_targets,
 )
@@ -55,6 +58,21 @@ class TestSynthTaskSpec:
             SynthTaskSpec(num_classes=3, transitions=bad)
 
 
+def loop_blend_means(labels, centroids, blend):
+    """Reference for one utterance: the frame-by-frame loop over each
+    transition and each distance k < blend."""
+    means = centroids[labels].copy()
+    for j in np.flatnonzero(labels[1:] != labels[:-1]) + 1:
+        for k in range(blend):
+            w = 0.5 - (k + 0.5) / (2 * blend)
+            li, ri = j - 1 - k, j + k
+            if li >= 0 and labels[li] == labels[j - 1]:
+                means[li] = (1.0 - w) * centroids[labels[li]] + w * centroids[labels[j]]
+            if ri < labels.size and labels[ri] == labels[j]:
+                means[ri] = (1.0 - w) * centroids[labels[ri]] + w * centroids[labels[j - 1]]
+    return means
+
+
 def small_spec(**kw):
     base = dict(
         num_classes=4, feature_dim=3, train_utterances=12, cv_utterances=4,
@@ -65,6 +83,35 @@ def small_spec(**kw):
 
 
 class TestGenerateSynth:
+    # sha256 over each split's features.tobytes() then labels.tobytes(),
+    # train, cv, test, at seed 11; recorded from the per-frame reference
+    # generator (one rng.choice per label, one AR(1) step per utterance
+    # frame), so a faster generator must reproduce it byte for byte
+    PINNED = {
+        "ar1_wide_blend": (
+            dict(num_classes=4, feature_dim=5, self_loop=0.5, noise_scale=[0.5, 1.0, 2.0, 0.1],
+                 noise_corr=0.5, blend_frames=3, min_frames=1, max_frames=15,
+                 train_utterances=12, cv_utterances=4, test_utterances=4),
+            "5d44e1fc23350cb679aaec45e9ca06504835cf6ef37bb62d363567f54c699583",
+        ),
+        "desk_like": (
+            dict(num_classes=6, feature_dim=3, self_loop=0.7, noise_corr=0.85, blend_frames=2,
+                 min_frames=5, max_frames=25, train_utterances=10, cv_utterances=3,
+                 test_utterances=3),
+            "0534d5cebe81d5e087fc3a26b2425d3ce031a33a1eebdb86ebde19a1234266e2",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_bytes_match_pinned_digest(self, name):
+        kwargs, want = self.PINNED[name]
+        splits = generate_synth(SynthTaskSpec(**kwargs), 11)
+        h = hashlib.sha256()
+        for ds in (splits.train, splits.cv, splits.test):
+            h.update(ds.features.tobytes())
+            h.update(ds.labels.tobytes())
+        assert h.hexdigest() == want
+
     def test_deterministic_given_seed(self):
         a = generate_synth(small_spec(), 123)
         b = generate_synth(small_spec(), 123)
@@ -114,6 +161,19 @@ class TestGenerateSynth:
         expected = np.full((k, k), off)
         np.fill_diagonal(expected, spec.self_loop)
         assert np.abs(empirical - expected).max() < 0.02
+
+    @pytest.mark.parametrize("blend", [1, 2, 3, 5])
+    def test_blend_means_equals_per_utterance_loop(self, blend):
+        """Short segments and 1-frame utterances included, bit for bit."""
+        rng = np.random.default_rng(blend)
+        centroids = rng.normal(size=(3, 4))
+        lengths = rng.integers(1, 12, size=40)
+        chunks = [rng.integers(0, 3, size=n) for n in lengths]
+        labels = np.concatenate(chunks)
+        first = np.zeros(labels.size, dtype=bool)
+        first[np.cumsum(lengths) - lengths] = True
+        want = np.concatenate([loop_blend_means(c, centroids, blend) for c in chunks])
+        np.testing.assert_array_equal(_blend_means(labels, first, centroids, blend), want)
 
     def test_boundary_frames_are_convex_blends(self):
         """With zero noise, frames near a transition sit strictly between

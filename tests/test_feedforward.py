@@ -13,6 +13,7 @@ from kdtrain.feedforward import (
     ff_backward,
     ff_forward,
     init_feedforward,
+    sigmoid,
 )
 from kdtrain.numeric import finite_diff_check
 from kdtrain.params import pack, unpack_into
@@ -36,6 +37,32 @@ def naive_forward(params, features):
             out.append(new)
         h = out
     return np.array(h)
+
+
+class TestSigmoid:
+    X = np.linspace(-40.0, 40.0, 160_001)
+
+    def test_symmetric_within_one_ulp(self):
+        """1 - sigmoid(x) resolves only an ulp of [0.5, 1), so that ulp
+        is the bound, also where sigmoid(-x) itself is tiny."""
+        np.testing.assert_allclose(
+            sigmoid(-self.X), 1.0 - sigmoid(self.X), rtol=0, atol=np.spacing(0.5)
+        )
+
+    def test_matches_logistic_formula(self):
+        np.testing.assert_allclose(sigmoid(self.X), 1.0 / (1.0 + np.exp(-self.X)), rtol=0, atol=1e-15)
+
+    def test_saturates_exactly_and_never_nan(self):
+        assert sigmoid(np.array([-800.0]))[0] == 0.0
+        assert sigmoid(np.array([800.0]))[0] == 1.0
+        x = np.concatenate([self.X, [-1e308, -800.0, 800.0, 1e308]])
+        y = sigmoid(x)
+        assert not np.isnan(y).any() and y.min() >= 0.0 and y.max() <= 1.0
+
+    def test_leaves_input_untouched(self):
+        x = self.X.copy()
+        sigmoid(x)
+        np.testing.assert_array_equal(x, self.X)
 
 
 class TestForward:

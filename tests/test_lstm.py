@@ -48,6 +48,78 @@ def naive_single_layer(params, window):
     return np.array(logits)
 
 
+def per_frame_oracle_grads(params, windows, logit_grads):
+    """Truncated-BPTT gradients from a zero state over an (S, F, D)
+    window, as the plain per-frame recurrence: stream-major activations
+    and one rank-S update of every weight gradient per frame. Returns
+    (parameter gradients, [(d cell state, d projected state)] per layer)."""
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    s, frames, _ = windows.shape
+    seq, layer_acts = windows, []
+    for layer in params.layers:
+        c_dim = layer.cell_dim
+        c, r = np.zeros((s, c_dim)), np.zeros((s, layer.proj_dim))
+        acts = []
+        for t in range(frames):
+            a = seq[:, t] @ layer.w_x.T + r @ layer.w_r.T + layer.bias
+            i, f = sig(a[:, :c_dim]), sig(a[:, c_dim : 2 * c_dim])
+            g, o = np.tanh(a[:, 2 * c_dim : 3 * c_dim]), sig(a[:, 3 * c_dim :])
+            c_prev, r_prev = c, r
+            c = f * c + i * g
+            r = (o * np.tanh(c)) @ layer.w_p.T
+            acts.append((seq[:, t], c_prev, r_prev, i, f, g, o, np.tanh(c), r))
+        layer_acts.append(acts)
+        seq = np.stack([frame[-1] for frame in acts], axis=1)
+
+    grads = params.copy()
+    for a in grads.arrays():
+        a[:] = 0.0
+    for t in range(frames):
+        grads.w_out += logit_grads[:, t].T @ seq[:, t]
+        grads.b_out += logit_grads[:, t].sum(axis=0)
+    d_seq = logit_grads @ params.w_out
+    state_grads = []
+    for layer, acts, lg in zip(params.layers[::-1], layer_acts[::-1], grads.layers[::-1]):
+        dc_next, dr_carry = np.zeros((s, layer.cell_dim)), np.zeros((s, layer.proj_dim))
+        dx = np.zeros((s, frames, layer.input_dim))
+        for t in range(frames - 1, -1, -1):
+            x, c_prev, r_prev, i, f, g, o, tc, _ = acts[t]
+            dr = d_seq[:, t] + dr_carry
+            lg.w_p += dr.T @ (o * tc)
+            dm = dr @ layer.w_p
+            dc = dc_next + dm * o * (1.0 - tc * tc)
+            da = np.concatenate(
+                [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g * g),
+                 dm * tc * o * (1.0 - o)],
+                axis=1,
+            )
+            lg.w_x += da.T @ x
+            lg.w_r += da.T @ r_prev
+            lg.bias += da.sum(axis=0)
+            dx[:, t] = da @ layer.w_x
+            dr_carry = da @ layer.w_r
+            dc_next = dc * f
+        state_grads.append((dc_next, dr_carry))
+        d_seq = dx
+    return grads, state_grads[::-1]
+
+
+def assert_split_anywhere_is_bit_identical(p, windows):
+    """Every cut of the window, with the state carried across it,
+    reproduces the unsplit logits and final state bit for bit."""
+    s, frames = windows.shape[:2]
+    full, state_full, _ = lstm_forward_batch(p, windows, zeros_state(p, s))
+    for cut in range(1, frames):
+        a, mid, _ = lstm_forward_batch(p, windows[:, :cut], zeros_state(p, s))
+        b, end, _ = lstm_forward_batch(p, windows[:, cut:], mid)
+        np.testing.assert_array_equal(np.concatenate([a, b], axis=1), full)
+        for got, want in zip(end.cells + end.projected, state_full.cells + state_full.projected):
+            np.testing.assert_array_equal(got, want)
+
+
 def small_lstm(seed, layers=1, cells=3, projection=2, d=3, k=3, scale=0.5):
     return init_lstm(
         d, k, layers=layers, cells=cells, projection=projection,
@@ -79,7 +151,7 @@ class TestForward:
         window = np.random.default_rng(2).normal(size=(1, 6, 2))
         logits, state, cache = lstm_forward_batch(p, window, zeros_state(p, 1))
         expected_cells = np.tanh(window[0] @ w_g[0])
-        np.testing.assert_allclose(cache.layers[0].c[0, :, 0], expected_cells, atol=1e-12)
+        np.testing.assert_allclose(cache.layers[0].c[:, 0, 0], expected_cells, atol=1e-12)
         np.testing.assert_allclose(logits[0, :, 0], np.tanh(expected_cells), atol=1e-12)
 
     def test_matches_naive_recurrence(self):
@@ -107,6 +179,20 @@ class TestForward:
             a, s, _ = lstm_forward_batch(p, w[:, :cut], zeros_state(p, 1))
             b, _, _ = lstm_forward_batch(p, w[:, cut:], s)
             np.testing.assert_array_equal(np.concatenate([a, b], axis=1), full)
+
+    @pytest.mark.parametrize(
+        "streams, layers, cells, projection",
+        [(4, 1, 64, 32), (4, 2, 256, 128), (32, 1, 64, 32)],
+        ids=["desk-train", "two-layer-256", "eval-group"],
+    )
+    def test_split_anywhere_is_bit_identical_at_benchmark_shapes(
+        self, streams, layers, cells, projection
+    ):
+        """The shapes the benchmark runs: D = 20, K = 10, F = 20."""
+        rng = np.random.default_rng(streams + layers)
+        p = init_lstm(20, 10, layers=layers, cells=cells, projection=projection, rng=rng,
+                      scale=0.2)
+        assert_split_anywhere_is_bit_identical(p, rng.normal(size=(streams, 20, 20)))
 
     def test_batch_matches_single_streams(self):
         p = small_lstm(9, cells=5, projection=3)
@@ -221,6 +307,22 @@ class TestBackward:
             sg_start.cells + sg_start.projected, sg_full.cells + sg_full.projected
         ):
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_matches_per_frame_accumulation_at_benchmark_shape(self):
+        """Weight gradients formed after the time loop over the stacked
+        (S * F) rows equal per-frame rank-S accumulation within 1e-12."""
+        rng = np.random.default_rng(29)
+        p = init_lstm(20, 10, layers=2, cells=64, projection=32, rng=rng, scale=0.2)
+        w = rng.normal(size=(4, 20, 20))
+        g = rng.normal(size=(4, 20, 10))
+        _, _, cache = lstm_forward_batch(p, w, zeros_state(p, 4))
+        grads, state_grad = lstm_backward_batch(p, cache, g)
+        want, want_state = per_frame_oracle_grads(p, w, g)
+        for got, exp in zip(grads.arrays(), want.arrays()):
+            np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
+        for li, (dc, dr) in enumerate(want_state):
+            np.testing.assert_allclose(state_grad.cells[li], dc, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state_grad.projected[li], dr, rtol=0, atol=1e-12)
 
     def test_stale_cache_rejected(self):
         p = small_lstm(21)
