@@ -289,20 +289,21 @@ def cmd_variance_report(
             rng=derive_rng(seed, "init"),
         )
         origin = "fresh-init"
+    soft_sets = []
+    for t in cfg.temperatures:
+        soft_path = out / _soft_name(t, seed)
+        if not soft_path.exists():
+            raise ConfigError(f"missing soft targets {soft_path}; run export-soft first")
+        soft_sets.append(read_soft_targets(soft_path))
+    hard, *softs = gradient_variance_report(student, train, [None, *soft_sets])
     lines = [
         "# kdtrain-variance v1",
         f"# seed {seed}",
         f"# student {origin}",
         "# columns targets temperature total first_term",
+        f"hard - {hard.total!r} {hard.first_term!r}",
     ]
-    hard = gradient_variance_report(student, train)
-    lines.append(f"hard - {hard.total!r} {hard.first_term!r}")
-    for t in cfg.temperatures:
-        soft_path = out / _soft_name(t, seed)
-        if not soft_path.exists():
-            raise ConfigError(f"missing soft targets {soft_path}; run export-soft first")
-        soft = read_soft_targets(soft_path)
-        rep = gradient_variance_report(student, train, soft)
+    for t, rep in zip(cfg.temperatures, softs):
         lines.append(f"soft {_tfmt(t)} {rep.total!r} {rep.first_term!r}")
     text = "\n".join(lines) + "\n"
     (out / f"variance_s{seed}.txt").write_text(text)

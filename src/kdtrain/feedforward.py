@@ -11,15 +11,16 @@ import numpy as np
 from .errors import ShapeError
 from .numeric import require_finite
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), evaluated as
-    0.5 * (1 + tanh(x / 2)).
+    0.5 * (1 + tanh(x / 2)), into ``out`` when given (``out=x`` works
+    in place) and into a new array otherwise.
 
     tanh saturates at +-1 instead of overflowing, so there is no branch
     on the sign: the result is exactly 0 or 1 far out in the tails and
     never NaN for finite input.
     """
-    out = np.multiply(x, 0.5)
+    out = np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5

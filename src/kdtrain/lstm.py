@@ -20,18 +20,26 @@ than its arithmetic, so a step makes few calls per frame:
 - A window is transposed once to time-major (F, S, .), so frame t of
   every stream is one contiguous block. Each layer's cache is
   preallocated time-major and the time loop writes into it with
-  ``out=``. One sigmoid call covers a frame's whole (S, 4C) gate block;
-  the g slice is then overwritten with tanh.
+  ``out=``. A frame keeps tanh of its g slice in ``tc[t]``, then one
+  in-place sigmoid call covers its whole (S, 4C) gate block, and the
+  kept tanh goes back into the g slice.
+- Each layer's input projection is one stacked ``np.matmul`` of the
+  (F, S, D_in) sequence by the 2-D weight, written into the gate cache
+  before the time loop; the logit head is one stacked ``np.matmul``
+  after the last layer. numpy runs a stacked product as one S-row GEMM
+  per frame slice, which rounds exactly like a per-frame product. It is
+  never one GEMM over the stacked (F * S) rows: that rounds a row
+  differently on some BLAS builds (OpenBLAS at D = 32 by about 1e-14)
+  and would break the bitwise split identity. Nor does the projection
+  go through a separate (F, S, 4C) buffer: adding it back in the loop
+  made a step slower than per-frame products at every shape measured.
+  The recurrent and projection products stay in the loop, as each
+  needs the frame before.
 - Backward forms the gate-derivative factors for the whole window
   before its time loop, which then carries only the recurrence. After
   the loop, each weight gradient is one GEMM (one sum for the bias)
   over the stacked (F * S) frame rows, so gradients of a split window
   match the unsplit ones to rounding, not bitwise.
-- The matmuls of forward (input, recurrent, projection, logit head)
-  stay per frame. A GEMM over the stacked (F * S) rows rounds a row
-  differently from the per-frame S-row GEMM on some BLAS builds
-  (OpenBLAS at D = 32 by about 1e-14), which would break the bitwise
-  split identity.
 """
 
 from dataclasses import dataclass, field
@@ -240,22 +248,25 @@ def _layer_forward(layer: LstmLayerParams, seq: np.ndarray, c0, r0) -> _LayerCac
         m=np.empty((frames, s, c_dim)),
         r_seq=np.empty((frames + 1, s, layer.proj_dim)),
     )
-    c_seq, r_seq, tc, m = lc.c_seq, lc.r_seq, lc.tc, lc.m
+    gates, c_seq, r_seq, tc, m = lc.gates, lc.c_seq, lc.r_seq, lc.tc, lc.m
     c_seq[0] = c0
     r_seq[0] = r0
-    gate_i, gate_f, gate_g, gate_o = (lc.gates[:, :, k] for k in (i_, f_, g_, o_))
-    w_xt, w_rt, w_pt, bias = layer.w_x.T, layer.w_r.T, layer.w_p.T, layer.bias
+    # the input projection of every frame, one S-row GEMM per frame slice
+    np.matmul(seq, layer.w_x.T, out=gates)
+    w_rt, w_pt, bias = layer.w_r.T, layer.w_p.T, layer.bias
     for t in range(frames):
-        a = seq[t] @ w_xt
+        a = gates[t]
         a += r_seq[t] @ w_rt
         a += bias
-        lc.gates[t] = sigmoid(a)
-        np.tanh(a[:, g_], out=gate_g[t])
+        np.tanh(a[:, g_], out=tc[t])
+        sigmoid(a, out=a)
+        a[:, g_] = tc[t]
         c_t = c_seq[t + 1]
-        np.multiply(gate_f[t], c_seq[t], out=c_t)
-        c_t += gate_i[t] * gate_g[t]
+        np.multiply(a[:, f_], c_seq[t], out=c_t)
+        np.multiply(a[:, i_], tc[t], out=m[t])
+        c_t += m[t]
         np.tanh(c_t, out=tc[t])
-        np.multiply(gate_o[t], tc[t], out=m[t])
+        np.multiply(a[:, o_], tc[t], out=m[t])
         np.matmul(m[t], w_pt, out=r_seq[t + 1])
     return lc
 
@@ -284,10 +295,8 @@ def lstm_forward_batch(
         layer_caches.append(lc)
         seq = lc.r
 
-    logits = np.empty((frames, s, params.output_dim))
-    w_out_t = params.w_out.T
-    for t in range(frames):
-        np.matmul(seq[t], w_out_t, out=logits[t])
+    # the logit head, one S-row GEMM per frame slice
+    logits = np.matmul(seq, params.w_out.T)
     logits += params.b_out
     require_finite(logits, "LSTM logits")
     out_cells = [lc.c_seq[-1].copy() for lc in layer_caches]

@@ -11,7 +11,7 @@ reduced in a fixed order.
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,8 +33,12 @@ from .params import global_norm
 # streams; documented so runs are reproducible from the master seed alone.
 _SEED_PURPOSES = {"init": 1, "shuffle": 2, "aux": 3}
 
-# Utterances per forward group during evaluation (any value gives the
-# same accuracies; fixed for reproducibility).
+# Utterances per forward group during evaluation. Groups are filled in
+# length order, so each pads little, except the short last group, which
+# keeps its manifest-order members. An utterance's logits depend on the
+# row count S of the GEMMs it runs in, not on its row position or its
+# neighbours, and this rule keeps every utterance in a group of the same
+# S as in manifest-order grouping; so its logits stay bit-identical.
 _EVAL_GROUP = 32
 
 
@@ -210,8 +214,10 @@ def eval_logits(params, dataset: FrameDataset) -> np.ndarray:
         return ff_forward(params, dataset.features)
     out = np.empty((dataset.total_frames, params.output_dim))
     utts = dataset.utterances
-    for start in range(0, len(utts), _EVAL_GROUP):
-        group = utts[start : start + _EVAL_GROUP]
+    whole = len(utts) - len(utts) % _EVAL_GROUP
+    ordered = sorted(utts[:whole], key=lambda u: u.count) + utts[whole:]
+    for start in range(0, len(ordered), _EVAL_GROUP):
+        group = ordered[start : start + _EVAL_GROUP]
         frames = max(u.count for u in group)
         feats = np.zeros((len(group), frames, dataset.feature_dim))
         for s, u in enumerate(group):
@@ -286,25 +292,32 @@ class VarianceReport:
 
 
 def gradient_variance_report(
-    params, dataset: FrameDataset, targets: SoftTargetSet | None = None
-) -> VarianceReport:
-    """Gradient variance of ``params`` over a split, against hard one-hot
-    targets (targets=None) or a soft-target set.
+    params, dataset: FrameDataset, target_sets: Sequence[SoftTargetSet | None]
+) -> list[VarianceReport]:
+    """Gradient variance of ``params`` over a split, one report per entry
+    of ``target_sets``: against hard one-hot targets for None, else
+    against that soft-target set.
 
-    The model output y is its T = 1 posterior per frame; the expectation
-    runs over all frames of the split.
+    The model output y is its T = 1 posterior per frame, computed once
+    for all reports; the expectation runs over all frames of the split.
+    Every set is checked against the split before the forward pass.
     """
     if dataset.total_frames < 2:
         raise InvalidArgumentError(f"need at least 2 frames, have {dataset.total_frames}")
+    for targets in target_sets:
+        if targets is not None:
+            check_alignment(dataset, targets)
     y = softmax_rows(eval_logits(params, dataset), 1.0)
-    if targets is None:
-        t = one_hot_rows(dataset.labels, dataset.num_classes)
-    else:
-        check_alignment(dataset, targets)
-        t = targets.rows
-    acc = GradVarianceAccumulator.for_classes(dataset.num_classes)
-    acc.add(t, y)
-    return acc.report()
+    reports = []
+    for targets in target_sets:
+        if targets is None:
+            t = one_hot_rows(dataset.labels, dataset.num_classes)
+        else:
+            t = targets.rows
+        acc = GradVarianceAccumulator.for_classes(dataset.num_classes)
+        acc.add(t, y)
+        reports.append(acc.report())
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import shutil
 import pytest
 import yaml
 
+from kdtrain import training
 from kdtrain.cli import main
 from kdtrain.distill import MODES
 from kdtrain.formats import read_run_record
@@ -105,6 +106,20 @@ def test_variance_report_does_not_depend_on_the_student_path(done, tmp_path, mon
     assert (second / "variance_s3.txt").read_bytes() == text
     digest = hashlib.sha256(student.read_bytes()).hexdigest()
     assert f"# student student_reg_T2_s3.dkdm sha256 {digest}\n".encode() in text
+
+
+def test_variance_report_reads_every_soft_set_before_any_forward(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "two_t.yaml", experiment={"temperatures": [2.0, 5.0]})
+    out = tmp_path / "out"
+    for argv in (["generate-data"], ["train-teacher"], ["export-soft", "--temperature", "2"]):
+        assert run(config, out, *argv) == 0
+
+    def no_forward(*args):
+        raise AssertionError("forward pass before every soft-target set was read")
+
+    monkeypatch.setattr(training, "eval_logits", no_forward)
+    assert run(config, out, "variance-report") == 2
+    assert not list(out.glob("variance_s*.txt"))
 
 
 def test_unknown_regime_exits_2(done):

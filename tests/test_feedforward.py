@@ -64,6 +64,12 @@ class TestSigmoid:
         sigmoid(x)
         np.testing.assert_array_equal(x, self.X)
 
+    def test_in_place_equals_allocating(self):
+        x = self.X.copy()
+        y = sigmoid(x, out=x)
+        assert y is x
+        np.testing.assert_array_equal(y, sigmoid(self.X))
+
 
 class TestForward:
     def test_zero_parameters_give_zero_logits(self):
