@@ -154,8 +154,7 @@ def cmd_export_soft(
         if not path.exists():
             raise ConfigError(f"missing teacher checkpoint {path}; run train-teacher first")
         teacher = read_checkpoint(path)
-        for t in temperatures:
-            soft = export_soft_targets(teacher, train, t)
+        for t, soft in zip(temperatures, export_soft_targets(teacher, train, temperatures)):
             target = out / _soft_name(t, seed)
             write_soft_targets(target, soft)
             violations = validate_soft_targets(read_soft_targets(target), train)

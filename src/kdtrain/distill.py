@@ -111,14 +111,17 @@ class SoftTargetSet:
         return self.rows.shape[1]
 
 
-def export_soft_targets(teacher: FeedForwardParams, dataset, temperature: float) -> SoftTargetSet:
-    """Run the teacher over every frame of ``dataset`` (manifest order)
-    and record the temperature-softened posteriors."""
+def export_soft_targets(
+    teacher: FeedForwardParams, dataset, temperatures: list[float]
+) -> list[SoftTargetSet]:
+    """Run the teacher once over every frame of ``dataset`` (manifest
+    order) and record its temperature-softened posteriors, one set per
+    entry of ``temperatures``, in that order."""
     from .formats import checkpoint_digest  # local import; formats imports this module
 
     logits = ff_forward(teacher, dataset.features)
-    rows = softmax_rows(logits, temperature)
-    return SoftTargetSet(temperature, rows, checkpoint_digest(teacher))
+    digest = checkpoint_digest(teacher)
+    return [SoftTargetSet(t, softmax_rows(logits, t), digest) for t in temperatures]
 
 
 # ---------------------------------------------------------------------------

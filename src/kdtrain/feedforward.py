@@ -1,7 +1,12 @@
 """Feed-forward teacher network: sigmoid hidden layers, raw logits out.
 
 Forward and backward are exact, deterministic, and validated against the
-finite-difference checker in the test suite.
+finite-difference checker in the test suite. The forward keeps no
+full-size temporaries: each layer's product, bias and sigmoid are formed
+in one buffer, the same values in the same order as
+``sigmoid(h @ w.T + b)``, so the same bits. The backward reuses the
+activations the forward hands it and recomputes them only when it is
+given none.
 """
 
 from dataclasses import dataclass
@@ -92,15 +97,15 @@ def init_feedforward(
     return FeedForwardParams(weights, biases)
 
 
-def zeros_like_ff(params: FeedForwardParams) -> FeedForwardParams:
-    return FeedForwardParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+def ff_forward(
+    params: FeedForwardParams, features: np.ndarray, hidden: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Per-frame logits for a (frames x input_dim) feature matrix.
 
-
-def ff_forward(params: FeedForwardParams, features: np.ndarray) -> np.ndarray:
-    """Per-frame logits for a (frames x input_dim) feature matrix."""
+    When ``hidden`` is a list, each hidden layer's (frames x width)
+    output is appended to it, input side first: the activations
+    ``ff_backward`` needs. The features are never written to.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeError(
@@ -108,19 +113,29 @@ def ff_forward(params: FeedForwardParams, features: np.ndarray) -> np.ndarray:
         )
     h = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = sigmoid(h @ w.T + b)
-    logits = h @ params.weights[-1].T + params.biases[-1]
+        h = np.matmul(h, w.T)
+        h += b
+        sigmoid(h, out=h)
+        if hidden is not None:
+            hidden.append(h)
+    logits = np.matmul(h, params.weights[-1].T)
+    logits += params.biases[-1]
     return require_finite(logits, "feed-forward logits")
 
 
 def ff_backward(
-    params: FeedForwardParams, features: np.ndarray, logit_grads: np.ndarray
+    params: FeedForwardParams,
+    features: np.ndarray,
+    logit_grads: np.ndarray,
+    hidden: list[np.ndarray] | None = None,
 ) -> tuple[FeedForwardParams, np.ndarray]:
     """Gradients of the scalar loss whose logit-layer gradient is
     ``logit_grads``, with respect to all parameters and to the input.
 
-    Returns (parameter gradients in a FeedForwardParams container,
-    input gradients with the shape of ``features``).
+    ``hidden`` is the list ``ff_forward`` filled for these features and
+    parameters; without it the hidden layers are recomputed, to the
+    same bits. Returns (parameter gradients in a FeedForwardParams
+    container, input gradients with the shape of ``features``).
     """
     x = np.asarray(features, dtype=np.float64)
     g = np.asarray(logit_grads, dtype=np.float64)
@@ -130,20 +145,24 @@ def ff_backward(
         raise ShapeError(
             f"logit_grads shape {g.shape} should be ({x.shape[0]}, {params.output_dim})"
         )
+    if hidden is None:
+        hidden = []
+        ff_forward(params, x, hidden)
+    elif [h.shape for h in hidden] != [(x.shape[0], w.shape[0]) for w in params.weights[:-1]]:
+        raise ShapeError("hidden activations do not match the features and layers")
 
-    acts = [x]
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = sigmoid(h @ w.T + b)
-        acts.append(h)
-
-    grads = zeros_like_ff(params)
+    acts = [x, *hidden]
+    n_layers = len(params.weights)
+    weight_grads: list = [None] * n_layers
+    bias_grads: list = [None] * n_layers
     delta = g
-    for layer in range(len(params.weights) - 1, -1, -1):
-        grads.weights[layer][:] = delta.T @ acts[layer]
-        grads.biases[layer][:] = delta.sum(axis=0)
+    for layer in range(n_layers - 1, -1, -1):
+        weight_grads[layer] = delta.T @ acts[layer]
+        bias_grads[layer] = delta.sum(axis=0)
         down = delta @ params.weights[layer]
         if layer > 0:
             a = acts[layer]
-            delta = down * a * (1.0 - a)
-    return grads, down
+            down *= a
+            down *= 1.0 - a
+            delta = down
+    return FeedForwardParams(weight_grads, bias_grads), down

@@ -9,6 +9,7 @@ shuffled once per epoch by an epoch-indexed generator, and gradients are
 reduced in a fixed order.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -27,7 +28,6 @@ from .feedforward import FeedForwardParams, ff_backward, ff_forward
 from .formats import EpochStats, RunRecord
 from .lstm import LstmProjParams, lstm_backward_batch, lstm_forward_batch, zeros_state
 from .numeric import softmax_rows
-from .params import global_norm
 
 # Fixed purpose codes for splitting one master seed into independent
 # streams; documented so runs are reproducible from the master seed alone.
@@ -70,6 +70,11 @@ class OptimizerState:
             raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
+
+
+def global_norm(arrays: list[np.ndarray]) -> float:
+    """L2 norm over all entries of all arrays."""
+    return math.sqrt(sum(float((a * a).sum()) for a in arrays))
 
 
 def sgd_momentum_step(params, grads, opt: OptimizerState) -> float:
@@ -362,8 +367,9 @@ def _forward_training(params, batch: Batch, state):
         logits, state_out, cache = lstm_forward_batch(params, batch.features, state)
         return logits, state_out, cache
     s, f, d = batch.features.shape
-    logits = ff_forward(params, batch.features.reshape(s * f, d)).reshape(s, f, -1)
-    return logits, None, None
+    hidden = []
+    logits = ff_forward(params, batch.features.reshape(s * f, d), hidden).reshape(s, f, -1)
+    return logits, None, hidden
 
 
 def _backward_training(params, batch: Batch, cache, logit_grads: np.ndarray):
@@ -372,7 +378,7 @@ def _backward_training(params, batch: Batch, cache, logit_grads: np.ndarray):
         return grads
     s, f, d = batch.features.shape
     grads, _ = ff_backward(
-        params, batch.features.reshape(s * f, d), logit_grads.reshape(s * f, -1)
+        params, batch.features.reshape(s * f, d), logit_grads.reshape(s * f, -1), cache
     )
     return grads
 

@@ -1,16 +1,13 @@
-"""Helpers shared by both architectures: flattening parameter sets to
-vectors (for the gradient checker), the global gradient norm, and
-in-place accumulation.
+"""Parameter sets as flat vectors, for the finite-difference checks, and
+in-place accumulation of gradient lists.
 
 Every parameter container exposes ``arrays()``, a list of ndarrays in a
-fixed canonical order; all utilities here operate on such lists.
+fixed canonical order; these helpers operate on such lists.
 """
-
-import math
 
 import numpy as np
 
-from .errors import ShapeError
+from kdtrain.errors import ShapeError
 
 
 def pack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -29,15 +26,7 @@ def unpack_into(vector: np.ndarray, arrays: list[np.ndarray]) -> None:
         pos += a.size
 
 
-def global_norm(arrays: list[np.ndarray]) -> float:
-    """L2 norm over all entries of all arrays."""
-    return math.sqrt(sum(float((a * a).sum()) for a in arrays))
-
-
 def add_scaled(into: list[np.ndarray], from_: list[np.ndarray], scale: float = 1.0) -> None:
     """into[i] += scale * from_[i], elementwise."""
     for dst, src in zip(into, from_):
-        if scale == 1.0:
-            dst += src
-        else:
-            dst += scale * src
+        dst += scale * src

@@ -1,0 +1,37 @@
+"""tools/artifact_digests.py lists the same digests on a rerun, so a
+difference between two checkouts is a difference in what they wrote."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+
+
+def listing(out: Path) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, str(_SCRIPT), "--workload", "teacher_export", "--seed", "1",
+         "--scale", "tiny", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return proc.stdout.splitlines()
+
+
+def test_rerun_lists_identical_digests(tmp_path):
+    first = listing(tmp_path / "a")
+    assert listing(tmp_path / "b") == first
+    names = [line.split("  ", 1)[1] for line in first]
+    assert names[-1] == "(stdout)"
+    assert names[:-1] == sorted(names[:-1])
+    assert {"teacher_s1.dkdm", "teacher_s1.runrec", "soft_T1_s1.dkst",
+            "soft_T10_s1.dkst"} <= set(names)
+
+
+def test_refuses_a_directory_that_is_not_empty(tmp_path):
+    (tmp_path / "stale.dkst").write_bytes(b"")
+    proc = subprocess.run(
+        [sys.executable, str(_SCRIPT), "--workload", "teacher_export", "--scale", "tiny",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2 and "not empty" in proc.stderr

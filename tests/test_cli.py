@@ -122,6 +122,23 @@ def test_variance_report_reads_every_soft_set_before_any_forward(tmp_path, monke
     assert not list(out.glob("variance_s*.txt"))
 
 
+def test_one_export_over_four_temperatures_equals_four_single_exports(tmp_path, capsys):
+    temperatures = [1.0, 2.0, 5.0, 10.0]
+    config = write_config(tmp_path / "four_t.yaml", experiment={"temperatures": temperatures})
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    for argv in (["generate-data"], ["train-teacher"]):
+        assert run(config, together, *argv) == 0
+    shutil.copytree(together, alone)
+    capsys.readouterr()
+    assert run(config, together, "export-soft") == 0
+    printed = capsys.readouterr().out
+    for t in temperatures:
+        assert run(config, alone, "export-soft", "--temperature", format(t, "g")) == 0
+    assert capsys.readouterr().out == printed
+    assert len(digests(together)) == 3 + 4 + 2  # datasets, soft sets, teacher and record
+    assert digests(alone) == digests(together)
+
+
 def test_unknown_regime_exits_2(done):
     assert run(*done, "train-student", "--regime", "kaldi") == 2
 

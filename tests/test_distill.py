@@ -9,6 +9,7 @@ values from a 50-digit evaluation of the closed forms.
 import numpy as np
 import pytest
 
+from kdtrain import distill, formats
 from kdtrain.datasets import SynthTaskSpec, generate_synth
 from kdtrain.distill import (
     MODES,
@@ -272,12 +273,12 @@ class TestExportSoftTargets:
         teacher = FeedForwardParams(
             [np.zeros((6, 5)), np.zeros((4, 6))], [np.zeros(6), np.zeros(4)]
         )
-        soft = export_soft_targets(teacher, tiny_task, 1.0)
+        soft = export_soft_targets(teacher, tiny_task, [1.0])[0]
         np.testing.assert_allclose(soft.rows, 0.25, rtol=1e-15)
 
     def test_frame_count_and_temperature_recorded(self, tiny_task):
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(7))
-        soft = export_soft_targets(teacher, tiny_task, 2.0)
+        soft = export_soft_targets(teacher, tiny_task, [2.0])[0]
         assert soft.frame_count == tiny_task.total_frames
         assert soft.temperature == 2.0
         assert soft.teacher_digest == checkpoint_digest(teacher)
@@ -285,17 +286,45 @@ class TestExportSoftTargets:
     def test_rows_match_composed_oracle(self, tiny_task):
         """Rows equal the softmax of ff_forward logits, frame by frame."""
         teacher = init_feedforward([5, 6, 4], np.random.default_rng(8), scale=0.7)
-        soft = export_soft_targets(teacher, tiny_task, 2.0)
+        soft = export_soft_targets(teacher, tiny_task, [2.0])[0]
         logits = ff_forward(teacher, tiny_task.features)
         for idx in (0, 1, tiny_task.total_frames - 1):
             np.testing.assert_allclose(
                 soft.rows[idx], np_softmax(logits[idx], 2.0), atol=1e-15
             )
 
+    def test_one_forward_and_one_digest_for_every_temperature(self, tiny_task, monkeypatch):
+        teacher = init_feedforward([5, 8, 8, 4], np.random.default_rng(11), scale=0.7)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(distill, "ff_forward", counted(ff_forward))
+        monkeypatch.setattr(formats, "checkpoint_digest", counted(checkpoint_digest))
+        sets = export_soft_targets(teacher, tiny_task, [1.0, 2.0, 5.0, 10.0])
+        assert [s.temperature for s in sets] == [1.0, 2.0, 5.0, 10.0]
+        assert sorted(calls) == ["checkpoint_digest", "ff_forward"]
+
+    def test_every_set_bit_equals_softmax_of_the_teacher_logits(self, tiny_task):
+        teacher = init_feedforward([5, 8, 8, 4], np.random.default_rng(12), scale=0.7)
+        temperatures = [1.0, 2.0, 5.0, 10.0]
+        logits = ff_forward(teacher, tiny_task.features)
+        sets = export_soft_targets(teacher, tiny_task, temperatures)
+        assert len(sets) == len(temperatures)
+        for t, soft in zip(temperatures, sets):
+            assert soft.temperature == t
+            np.testing.assert_array_equal(soft.rows, softmax_rows(logits, t))
+            assert soft.teacher_digest == checkpoint_digest(teacher)
+
     def test_higher_temperature_rows_have_higher_entropy(self, tiny_task):
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(9), scale=0.8)
-        s1 = export_soft_targets(teacher, tiny_task, 1.0)
-        s2 = export_soft_targets(teacher, tiny_task, 2.0)
+        s1 = export_soft_targets(teacher, tiny_task, [1.0])[0]
+        s2 = export_soft_targets(teacher, tiny_task, [2.0])[0]
         h1 = np_entropy_rows(s1.rows)
         h2 = np_entropy_rows(s2.rows)
         assert np.all(h2 >= h1)
@@ -305,7 +334,7 @@ class TestExportSoftTargets:
         """Distilling at T = 1 and evaluating at the teacher's own logits
         gives exactly zero gradient."""
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(10), scale=0.6)
-        soft = export_soft_targets(teacher, tiny_task, 1.0)
+        soft = export_soft_targets(teacher, tiny_task, [1.0])[0]
         logits = ff_forward(teacher, tiny_task.features)
         _, grads, _, _ = frame_objective(
             DistillLossSpec("soft", temperature=1.0), logits, tiny_task.labels, soft.rows

@@ -1,5 +1,7 @@
 """Feed-forward teacher: forward against a hand-rolled triple-loop
-oracle, backward against central finite differences."""
+oracle and, bit for bit, against a chain of allocating expressions;
+backward against central finite differences, and with the forward's
+kept activations against recomputing them."""
 
 import math
 
@@ -16,7 +18,7 @@ from kdtrain.feedforward import (
     sigmoid,
 )
 from kdtrain.numeric import finite_diff_check
-from kdtrain.params import pack, unpack_into
+from param_vectors import pack, unpack_into
 
 
 def naive_forward(params, features):
@@ -37,6 +39,14 @@ def naive_forward(params, features):
             out.append(new)
         h = out
     return np.array(h)
+
+
+def reference_forward(params, features):
+    """The forward as a chain of allocating expressions."""
+    h = features
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = sigmoid(h @ w.T + b)
+    return h @ params.weights[-1].T + params.biases[-1]
 
 
 class TestSigmoid:
@@ -89,6 +99,36 @@ class TestForward:
         p = init_feedforward([3, 5, 4, 2], rng, scale=0.8)
         x = rng.normal(size=(7, 3))
         np.testing.assert_allclose(ff_forward(p, x), naive_forward(p, x), atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [[], [7], [7, 6]])
+    def test_bit_equals_the_reference_chain(self, hidden):
+        rng = np.random.default_rng(13)
+        p = init_feedforward([5, *hidden, 4], rng, scale=0.8)
+        for b in p.biases:
+            b[:] = rng.normal(size=b.shape)
+        x = rng.normal(size=(33, 5))
+        np.testing.assert_array_equal(ff_forward(p, x), reference_forward(p, x))
+
+    def test_fills_the_hidden_list_with_each_layer_output(self):
+        rng = np.random.default_rng(14)
+        p = init_feedforward([5, 7, 6, 4], rng, scale=0.8)
+        x = rng.normal(size=(9, 5))
+        hidden = []
+        ff_forward(p, x, hidden)
+        want = [sigmoid(x @ p.weights[0].T + p.biases[0])]
+        want.append(sigmoid(want[0] @ p.weights[1].T + p.biases[1]))
+        assert len(hidden) == 2
+        for got, w in zip(hidden, want):
+            np.testing.assert_array_equal(got, w)
+
+    @pytest.mark.parametrize("hidden", [[], [7, 6]])
+    def test_leaves_input_untouched(self, hidden):
+        rng = np.random.default_rng(15)
+        p = init_feedforward([5, *hidden, 4], rng, scale=0.8)
+        x = rng.normal(size=(9, 5))
+        before = x.copy()
+        ff_forward(p, x, [])
+        np.testing.assert_array_equal(x, before)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -150,6 +190,33 @@ class TestBackward:
 
         _, dx = ff_backward(p, x, lg)
         assert finite_diff_check(loss, x.ravel(), dx.ravel(), step=1e-4) < 1e-6
+
+    @pytest.mark.parametrize("hidden", [[], [7], [7, 6]])
+    def test_forward_activations_give_the_recomputed_gradients(self, hidden):
+        """Gradients from the activations ff_forward kept bit-equal those
+        from recomputing them, for every parameter and the input."""
+        rng = np.random.default_rng(16)
+        p = init_feedforward([5, *hidden, 4], rng, scale=0.8)
+        x = rng.normal(size=(33, 5))
+        lg = rng.normal(size=(33, 4))
+        kept = []
+        ff_forward(p, x, kept)
+        grads, dx = ff_backward(p, x, lg, kept)
+        want_grads, want_dx = ff_backward(p, x, lg)
+        for got, want in zip(grads.arrays(), want_grads.arrays(), strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(dx, want_dx)
+
+    def test_activations_of_other_shapes_rejected(self):
+        rng = np.random.default_rng(17)
+        p = init_feedforward([3, 4, 2], rng)
+        x = rng.normal(size=(6, 3))
+        kept = []
+        ff_forward(p, x[:5], kept)
+        with pytest.raises(ShapeError):
+            ff_backward(p, x, np.zeros((6, 2)), kept)
+        with pytest.raises(ShapeError):
+            ff_backward(p, x, np.zeros((6, 2)), [])
 
     def test_shape_validation(self):
         p = init_feedforward([3, 4, 2], np.random.default_rng(9))

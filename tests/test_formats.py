@@ -121,7 +121,7 @@ class TestDatasetFormat:
 class TestSoftTargetFormat:
     def test_write_read_write_is_byte_stable(self, dataset, tmp_path):
         teacher = init_feedforward([4, 6, 5], np.random.default_rng(33))
-        soft = export_soft_targets(teacher, dataset, 2.0)
+        soft = export_soft_targets(teacher, dataset, [2.0])[0]
         p1 = tmp_path / "a.dkst"
         write_soft_targets(p1, soft)
         loaded = read_soft_targets(p1)
@@ -133,7 +133,7 @@ class TestSoftTargetFormat:
 
     def test_rows_survive_storage_at_f32_precision(self, dataset, tmp_path):
         teacher = init_feedforward([4, 6, 5], np.random.default_rng(34))
-        soft = export_soft_targets(teacher, dataset, 1.0)
+        soft = export_soft_targets(teacher, dataset, [1.0])[0]
         p = tmp_path / "s.dkst"
         write_soft_targets(p, soft)
         loaded = read_soft_targets(p)

@@ -22,7 +22,7 @@ from kdtrain.lstm import (
     zeros_state,
 )
 from kdtrain.numeric import finite_diff_check
-from kdtrain.params import add_scaled, pack, unpack_into
+from param_vectors import add_scaled, pack, unpack_into
 
 
 def naive_single_layer(params, window):

@@ -1,14 +1,17 @@
-"""The training loop's documented equivalences between regimes, and its
-refusal of missing or mismatched inputs, at tiny sizes through
-run_training; length-ordered evaluation against a manifest-order
-reference; and the gradient-variance report against a two-pass oracle."""
+"""The training loop's documented equivalences between regimes, its
+learning-rate and stopping rule, and its refusal of missing or
+mismatched inputs, at tiny sizes through run_training; stream batching
+against the frame partition; length-ordered evaluation against a
+manifest-order reference; and the gradient-variance report against a
+two-pass oracle."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from kdtrain.datasets import SynthTaskSpec, generate_synth
+from kdtrain import training
+from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import DistillLossSpec, SoftTargetSet, export_soft_targets, one_hot_rows
 from kdtrain.errors import AlignmentError, InvalidArgumentError
 from kdtrain.feedforward import init_feedforward
@@ -19,6 +22,7 @@ from kdtrain.training import (
     eval_logits,
     frame_accuracy,
     gradient_variance_report,
+    iter_batches,
     run_training,
 )
 
@@ -56,7 +60,7 @@ def assert_same_run(a, b):
 
 
 def test_pretrain_switch_at_epoch_zero_reproduces_hard(task):
-    soft = export_soft_targets(task[3], task[0], 2.0)
+    soft = export_soft_targets(task[3], task[0], [2.0])[0]
     assert_same_run(
         train(task, "pretrain", 2.0, switch=0, soft_targets=soft), train(task, "hard")
     )
@@ -83,10 +87,158 @@ def test_soft_regimes_without_targets_rejected(task, mode):
 
 
 def test_soft_targets_at_another_temperature_rejected(task):
-    soft = export_soft_targets(task[3], task[0], 2.0)
+    soft = export_soft_targets(task[3], task[0], [2.0])[0]
     with pytest.raises(AlignmentError, match="T=2"):
         train(task, "soft", 1.0, soft_targets=soft)
     train(task, "soft", 2.0, soft_targets=soft)
+
+
+def test_teacher_training_bit_equals_training_that_recomputes_activations(task, monkeypatch):
+    """ff_backward on the forward's kept activations and ff_backward
+    recomputing them train the same teacher, bit for bit."""
+    train_set, cv_set, _, _ = task
+    teacher = init_feedforward([5, 8, 8, 4], np.random.default_rng(24), scale=0.5)
+    schedule = TrainingSchedule(max_epochs=2, improve_threshold=float("-inf"), streams=3,
+                                window=5)
+    original = training.ff_backward
+    kept = []
+
+    def run(backward):
+        monkeypatch.setattr(training, "ff_backward", backward)
+        return run_training(DistillLossSpec("hard"), teacher, train_set, cv_set,
+                            schedule=schedule, learning_rate=0.05, master_seed=7)
+
+    def keeps(params, features, logit_grads, hidden=None):
+        kept.append(hidden is not None)
+        return original(params, features, logit_grads, hidden)
+
+    def drops(params, features, logit_grads, hidden=None):
+        kept.append(False)
+        return original(params, features, logit_grads)
+
+    with_cache = run(keeps)
+    assert kept and all(kept)
+    recomputed = run(drops)
+    assert len(with_cache[0].epochs) == 2
+    assert_same_run(with_cache, recomputed)
+
+
+def frame_indexed_split(counts, num_classes=3):
+    """A split whose feature 0 holds each frame's index on the flat axis."""
+    offsets = np.cumsum([0, *counts[:-1]])
+    utts = [Utterance(uid, int(o), c) for uid, (o, c) in enumerate(zip(offsets, counts))]
+    index = np.arange(sum(counts), dtype=np.float64)
+    features = np.stack([index, -index], axis=1)
+    return FrameDataset(utts, features, np.arange(index.size) % num_classes, num_classes)
+
+
+@pytest.mark.parametrize("streams, window", [(1, 4), (3, 5), (4, 1), (2, 13), (9, 50)])
+def test_iter_batches_covers_every_frame_once_within_utterances(streams, window):
+    counts = [7, 1, 12, 3, 5, 9, 2, 11]  # ragged; window 50 exceeds every utterance
+    split = frame_indexed_split(counts)
+    order = np.random.default_rng(33).permutation(len(counts))
+    rows = np.arange(split.total_frames)[:, None] * np.array([1.0, 10.0, 100.0])
+    utt_of = np.repeat(np.arange(len(counts)), counts)
+    seen = []
+    slot_utts = [[] for _ in range(streams)]
+    for batch in iter_batches(split, order, streams, window, rows, -rows):
+        assert batch.features.shape == (streams, window, 2)
+        for s in range(streams):
+            real = int(batch.mask[s].sum())
+            assert batch.mask[s, :real].all()  # real frames first, then padding
+            for padded in (batch.features, batch.soft, batch.teacher_logits):
+                np.testing.assert_array_equal(padded[s, real:], 0.0)
+            if real == 0:
+                assert not batch.resets[s]
+                continue
+            idx = batch.features[s, :real, 0].astype(np.int64)
+            np.testing.assert_array_equal(idx, np.arange(idx[0], idx[0] + real))
+            u = utt_of[idx[0]]
+            assert utt_of[idx[-1]] == u  # never crosses an utterance boundary
+            assert batch.resets[s] == (idx[0] == split.utterances[u].offset)
+            if batch.resets[s]:
+                slot_utts[s].append(u)
+            np.testing.assert_array_equal(batch.labels[s, :real], split.labels[idx])
+            np.testing.assert_array_equal(batch.soft[s, :real], rows[idx])
+            np.testing.assert_array_equal(batch.teacher_logits[s, :real], -rows[idx])
+            seen.extend(idx)
+    np.testing.assert_array_equal(np.sort(seen), np.arange(split.total_frames))
+    for s in range(streams):
+        assert slot_utts[s] == list(order[s::streams])
+
+
+def newbob_run(task, monkeypatch, mode="hard", threshold=0.1, max_halvings=2, switch=None,
+               cv_script=None, max_epochs=8):
+    """An FF model trained under the newbob rule. Returns the record and,
+    per update, the optimizer state, its learning rate and whether its
+    velocity is still unset."""
+    train_set, cv_set, _, teacher = task
+    if cv_script is not None:
+        script = iter(cv_script)
+        monkeypatch.setattr(training, "frame_accuracy", lambda params, dataset: next(script))
+    updates = []
+    step = training.sgd_momentum_step
+
+    def recording_step(params, grads, opt):
+        updates.append((opt, opt.learning_rate, opt.velocity is None))
+        return step(params, grads, opt)
+
+    monkeypatch.setattr(training, "sgd_momentum_step", recording_step)
+    soft = export_soft_targets(teacher, train_set, [2.0])[0]
+    schedule = TrainingSchedule(
+        max_epochs=max_epochs, improve_threshold=threshold, max_halvings=max_halvings,
+        streams=3, window=5, pretrain_switch_epoch=switch,
+    )
+    model = init_feedforward([5, 6, 4], np.random.default_rng(25), scale=0.5)
+    record, _ = run_training(
+        DistillLossSpec(mode, 0.5, 2.0), model, train_set, cv_set, soft_targets=soft,
+        schedule=schedule, learning_rate=0.04, master_seed=5,
+    )
+    assert [e.epoch for e in record.epochs] == list(range(1, len(record.epochs) + 1))
+    return record, updates
+
+
+def rates(record):
+    return [e.learning_rate for e in record.epochs]
+
+
+def test_newbob_never_halves_while_every_epoch_improves(task, monkeypatch):
+    record, _ = newbob_run(task, monkeypatch, threshold=float("-inf"), max_epochs=4)
+    assert rates(record) == [0.04] * 4
+
+
+def test_newbob_halves_on_each_failure_and_stops_after_max_halvings(task, monkeypatch):
+    """No accuracy gain reaches 1000 points, so only the first epoch
+    (measured against no best at all) counts as an improvement."""
+    record, _ = newbob_run(task, monkeypatch, threshold=1000.0, max_halvings=3)
+    assert rates(record) == [0.04, 0.04, 0.02, 0.01]
+
+
+def test_newbob_stops_only_on_consecutive_failures(task, monkeypatch):
+    """A kept improvement resets the failure count but not the halved
+    learning rate."""
+    cv = [50.0, 49.0, 51.0, 50.5, 50.0]
+    record, _ = newbob_run(task, monkeypatch, cv_script=cv, max_halvings=2)
+    assert [e.cv_accuracy for e in record.epochs] == cv
+    assert rates(record) == [0.04, 0.04, 0.02, 0.02, 0.01]
+
+
+@pytest.mark.parametrize("switch, soft_rates", [(2, [0.04, 0.04]), (None, [0.04, 0.04, 0.02])])
+def test_pretrain_switch_resets_velocity_and_learning_rate(task, monkeypatch, switch,
+                                                           soft_rates):
+    """The soft phase ends after ``switch`` epochs, without halving, or
+    at its plateau; the hard phase then starts from the initial
+    learning rate with zero velocity, and runs to its own plateau."""
+    record, updates = newbob_run(task, monkeypatch, "pretrain", threshold=1000.0, switch=switch)
+    assert rates(record) == soft_rates + [0.04, 0.04, 0.02]
+    phases = []
+    for opt, rate, unset in updates:
+        if not any(opt is o for o in phases):
+            phases.append(opt)
+            assert unset and rate == 0.04
+        else:
+            assert not unset
+    assert len(phases) == 2
 
 
 def manifest_order_logits(params, dataset, group=32):
@@ -143,7 +295,7 @@ def test_variance_report_matches_two_pass_oracle(task):
     logits = eval_logits(student, train_set)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
-    soft = export_soft_targets(teacher, train_set, 2.0)
+    soft = export_soft_targets(teacher, train_set, [2.0])[0]
     hard_t = one_hot_rows(train_set.labels, 4)
     reports = gradient_variance_report(student, train_set, [None, soft])
     for rep, t in zip(reports, [hard_t, soft.rows], strict=True):
@@ -158,7 +310,7 @@ def test_variance_report_matches_two_pass_oracle(task):
 
 def test_one_variance_call_equals_one_call_per_target_set(task):
     train_set, _, student, teacher = task
-    target_sets = [None] + [export_soft_targets(teacher, train_set, t) for t in (2.0, 5.0)]
+    target_sets = [None, *export_soft_targets(teacher, train_set, [2.0, 5.0])]
     together = gradient_variance_report(student, train_set, target_sets)
     assert len(together) == 3
     for targets, rep in zip(target_sets, together):
