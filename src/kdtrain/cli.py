@@ -91,6 +91,38 @@ def _load_split(out: Path, name: str):
     return read_dataset(path)
 
 
+def _init_student(cfg: ExperimentConfig, train, seed: int):
+    layers, cells, projection = cfg.student_shape
+    return init_lstm(train.feature_dim, train.num_classes, layers=layers, cells=cells,
+                     projection=projection, rng=derive_rng(seed, "init"))
+
+
+def _train_cell(cfg: ExperimentConfig, out: Path, splits, stem: str, label: str, spec, init,
+                seed: int, **run_kwargs) -> None:
+    """Train one model on the (train, cv, test) ``splits``, score it on
+    test, and write ``<stem>.dkdm`` and ``<stem>.runrec``. On a numeric
+    abort, persist the last good epoch's checkpoint and partial record
+    as ``<stem>.aborted.*`` before propagating."""
+    train, cv, test = splits
+    try:
+        record, params = run_training(
+            spec, init, train, cv, momentum=cfg.momentum, clip_norm=cfg.clip_norm,
+            master_seed=seed, config_digest=cfg.digest(), log=print, **run_kwargs,
+        )
+    except TrainingAborted as exc:
+        write_checkpoint(out / f"{stem}.aborted.dkdm", exc.params)
+        write_run_record(out / f"{stem}.aborted.runrec", exc.record)
+        print(f"aborted: {exc}; last good epoch saved as {stem}.aborted.*", file=sys.stderr)
+        raise
+    record.test_accuracy = frame_accuracy(params, test)
+    write_checkpoint(out / f"{stem}.dkdm", params)
+    write_run_record(out / f"{stem}.runrec", record)
+    print(
+        f"{label}: cv_fa {record.epochs[-1].cv_accuracy:.2f} "
+        f"test_fa {record.test_accuracy:.2f} ({len(record.epochs)} epochs)"
+    )
+
+
 def _expand_cells(regimes, temperatures, seeds):
     cells = []
     for seed in seeds:
@@ -111,33 +143,14 @@ def cmd_generate_data(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_train_teacher(cfg: ExperimentConfig, out: Path, seeds: list[int]) -> None:
-    train = _load_split(out, "train")
-    cv = _load_split(out, "cv")
-    test = _load_split(out, "test")
-    dims = [train.feature_dim] + cfg.teacher_hidden + [train.num_classes]
+    splits = [_load_split(out, name) for name in _SPLITS]
+    dims = [splits[0].feature_dim] + cfg.teacher_hidden + [splits[0].num_classes]
     for seed in seeds:
-        init = init_feedforward(dims, derive_rng(seed, "init"))
-        record, params = _guarded_run(
-            out,
-            _teacher_stem(seed),
-            DistillLossSpec("hard", cfg.alpha),
-            init,
-            train,
-            cv,
-            schedule=cfg.schedule(cfg.teacher_max_epochs),
-            learning_rate=cfg.teacher_learning_rate,
-            momentum=cfg.momentum,
-            clip_norm=cfg.clip_norm,
-            master_seed=seed,
-            config_digest=cfg.digest(),
-            model_tag="teacher",
-        )
-        record.test_accuracy = frame_accuracy(params, test)
-        write_checkpoint(out / f"{_teacher_stem(seed)}.dkdm", params)
-        write_run_record(out / f"{_teacher_stem(seed)}.runrec", record)
-        print(
-            f"teacher seed {seed}: cv_fa {record.epochs[-1].cv_accuracy:.2f} "
-            f"test_fa {record.test_accuracy:.2f} ({len(record.epochs)} epochs)"
+        _train_cell(
+            cfg, out, splits, _teacher_stem(seed), f"teacher seed {seed}",
+            DistillLossSpec("hard", cfg.alpha), init_feedforward(dims, derive_rng(seed, "init")),
+            seed, schedule=cfg.schedule(cfg.teacher_max_epochs),
+            learning_rate=cfg.teacher_learning_rate, model_tag="teacher",
         )
 
 
@@ -165,35 +178,12 @@ def cmd_export_soft(
             print(f"wrote {target.name} (T={_tfmt(t)}, {soft.frame_count} frames)")
 
 
-def _guarded_run(out: Path, stem: str, spec, init, train, cv, **kwargs):
-    """run_training, but on numeric abort persist the last good epoch's
-    checkpoint and partial record before propagating."""
-    try:
-        return run_training(spec, init, train, cv, log=print, **kwargs)
-    except TrainingAborted as exc:
-        write_checkpoint(out / f"{stem}.aborted.dkdm", exc.params)
-        write_run_record(out / f"{stem}.aborted.runrec", exc.record)
-        print(f"aborted: {exc}; last good epoch saved as {stem}.aborted.*", file=sys.stderr)
-        raise
-
-
 def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, seed: int):
-    train = _load_split(out, "train")
-    cv = _load_split(out, "cv")
-    test = _load_split(out, "test")
-    layers, cells, projection = cfg.student_shape
-    init = init_lstm(
-        train.feature_dim,
-        train.num_classes,
-        layers=layers,
-        cells=cells,
-        projection=projection,
-        rng=derive_rng(seed, "init"),
-    )
-    spec = DistillLossSpec(regime, cfg.alpha, t)
+    splits = [_load_split(out, name) for name in _SPLITS]
+    init = _init_student(cfg, splits[0], seed)
     soft = None
     teacher = None
-    if spec.uses_soft_targets:
+    if REGIMES[regime].soft_targets:
         soft_path = out / _soft_name(t, seed)
         if not soft_path.exists():
             raise ConfigError(f"missing soft targets {soft_path}; run export-soft first")
@@ -204,29 +194,10 @@ def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, 
             raise ConfigError(f"missing teacher checkpoint {teacher_path} for logit matching")
         teacher = read_checkpoint(teacher_path)
     stem = _student_stem(regime, t, seed)
-    record, params = _guarded_run(
-        out,
-        stem,
-        spec,
-        init,
-        train,
-        cv,
-        soft_targets=soft,
-        teacher=teacher,
-        schedule=cfg.schedule(),
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        clip_norm=cfg.clip_norm,
-        master_seed=seed,
-        config_digest=cfg.digest(),
-        model_tag="student",
-    )
-    record.test_accuracy = frame_accuracy(params, test)
-    write_checkpoint(out / f"{stem}.dkdm", params)
-    write_run_record(out / f"{stem}.runrec", record)
-    print(
-        f"{stem}: cv_fa {record.epochs[-1].cv_accuracy:.2f} "
-        f"test_fa {record.test_accuracy:.2f} ({len(record.epochs)} epochs)"
+    _train_cell(
+        cfg, out, splits, stem, stem, DistillLossSpec(regime, cfg.alpha, t), init, seed,
+        soft_targets=soft, teacher=teacher, schedule=cfg.schedule(),
+        learning_rate=cfg.learning_rate, model_tag="student",
     )
 
 
@@ -278,15 +249,7 @@ def cmd_variance_report(
         # the directory the command runs from
         origin = f"{Path(student_path).name} sha256 {checkpoint_digest(student).hex()}"
     else:
-        layers, cells, projection = cfg.student_shape
-        student = init_lstm(
-            train.feature_dim,
-            train.num_classes,
-            layers=layers,
-            cells=cells,
-            projection=projection,
-            rng=derive_rng(seed, "init"),
-        )
+        student = _init_student(cfg, train, seed)
         origin = "fresh-init"
     soft_sets = []
     for t in cfg.temperatures:
@@ -314,7 +277,10 @@ def _collect_runs(out: Path) -> list[RunRecord]:
     for path in sorted(out.glob("teacher_s*.runrec")) + sorted(out.glob("student_*.runrec")):
         if ".aborted." in path.name:
             continue
-        records.append(read_run_record(path))
+        record = read_run_record(path)
+        if not record.epochs:
+            raise FormatError(f"run record {path} has no epochs")
+        records.append(record)
     return records
 
 

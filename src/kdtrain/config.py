@@ -16,8 +16,8 @@ from pathlib import Path
 import yaml
 
 from .datasets import SynthTaskSpec
-from .distill import MODES
-from .errors import ConfigError
+from .distill import REGIMES
+from .errors import ConfigError, InvalidArgumentError
 from .training import TrainingSchedule
 
 DEFAULTS = {
@@ -79,10 +79,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
                 out[key] = value
         else:
             out[key] = copy.deepcopy(default)
-    unknown = set(override) - set(base)
+    unknown = sorted(f"{path}.{key}" if path else str(key) for key in set(override) - set(base))
     if unknown:
-        where = path or "top level"
-        raise ConfigError(f"unknown config key(s) {sorted(unknown)} at {where}")
+        raise ConfigError(f"unknown config key(s) {unknown}")
     return out
 
 
@@ -176,15 +175,20 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.regimes:
             raise ConfigError("experiment.regimes must not be empty")
-        bad = [r for r in self.regimes if r not in MODES]
+        bad = [r for r in self.regimes if r not in REGIMES]
         if bad:
-            raise ConfigError(f"unknown regime(s) {bad}; choose from {list(MODES)}")
+            raise ConfigError(f"unknown regime(s) {bad}; choose from {list(REGIMES)}")
         if not self.seeds:
             raise ConfigError("experiment.seeds must not be empty")
         if any(t <= 0 for t in self.temperatures) or not self.temperatures:
             raise ConfigError("experiment.temperatures must be a nonempty list of positives")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"experiment.alpha must be in [0, 1], got {self.alpha}")
+        for section, max_epochs in (("train", None), ("teacher", self.teacher_max_epochs)):
+            try:
+                self.schedule(max_epochs)
+            except InvalidArgumentError as exc:
+                raise ConfigError(f"{section} schedule: {exc}") from exc
 
 
 def load_config(path: str | None = None) -> ExperimentConfig:

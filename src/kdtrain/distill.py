@@ -47,7 +47,6 @@ REGIMES = {
     "pretrain": Regime("Soft, Hard", True, False, False, ("soft", "hard")),
     "logitmatch": Regime("Logits", False, True, False, ("logitmatch",)),
 }
-MODES = tuple(REGIMES)
 
 
 @dataclass
@@ -64,19 +63,13 @@ class DistillLossSpec:
 
     def __post_init__(self):
         if self.mode not in REGIMES:
-            raise InvalidArgumentError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+            raise InvalidArgumentError(
+                f"unknown mode {self.mode!r}, expected one of {tuple(REGIMES)}"
+            )
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidArgumentError(f"alpha must be in [0, 1], got {self.alpha}")
         if not self.temperature > 0:
             raise InvalidArgumentError(f"temperature must be positive, got {self.temperature}")
-
-    @property
-    def scale_resolved(self) -> bool:
-        return REGIMES[self.mode].scale_t2
-
-    @property
-    def uses_soft_targets(self) -> bool:
-        return REGIMES[self.mode].soft_targets
 
 
 @dataclass
@@ -162,11 +155,16 @@ def frame_objective(
     spec: DistillLossSpec,
     logits: np.ndarray,
     labels: np.ndarray,
-    soft_rows: np.ndarray | None = None,
-    teacher_logits: np.ndarray | None = None,
+    targets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame loss and logit gradient for one regime over a flat
     (N x K) logits matrix.
+
+    ``targets`` is the (N x K) matrix the regime reads: the teacher's
+    soft targets at ``spec.temperature`` for "soft" and "reg", the
+    teacher's logits for "logitmatch", and None for "hard". Soft rows
+    are used as given; run_training refuses a set with a row outside
+    [0, 1] or one that does not sum to 1 before it gets here.
 
     Also returns the (target, output) pair fed to the gradient-variance
     instrumentation: the hard pair for "hard", the soft pair for "soft"
@@ -174,39 +172,34 @@ def frame_objective(
     (teacher, student) logits for "logitmatch".
     """
     regime = REGIMES[spec.mode]
-    if regime.soft_targets and soft_rows is None:
-        raise InvalidArgumentError(f"soft targets required for mode {spec.mode!r}")
-    if regime.teacher_logits and teacher_logits is None:
-        raise InvalidArgumentError(f"teacher logits required for mode {spec.mode!r}")
+    if (regime.soft_targets or regime.teacher_logits) and targets is None:
+        what = "soft targets" if regime.soft_targets else "teacher logits"
+        raise InvalidArgumentError(f"{what} required for mode {spec.mode!r}")
     k = logits.shape[1]
     if spec.mode == "hard":
         t_rows = one_hot_rows(labels, k)
         losses, grads, q = batch_soft_loss(logits, t_rows, 1.0, False)
         return losses, grads, t_rows, q
     if spec.mode == "soft":
-        losses, grads, q = batch_soft_loss(
-            logits, soft_rows, spec.temperature, spec.scale_resolved
-        )
-        return losses, grads, soft_rows, q
+        losses, grads, q = batch_soft_loss(logits, targets, spec.temperature, regime.scale_t2)
+        return losses, grads, targets, q
     if spec.mode == "reg":
         t_rows = one_hot_rows(labels, k)
         hard_losses, hard_grads, _ = batch_soft_loss(logits, t_rows, 1.0, False)
         soft_losses, soft_grads, q = batch_soft_loss(
-            logits, soft_rows, spec.temperature, spec.scale_resolved
+            logits, targets, spec.temperature, regime.scale_t2
         )
         return (
             spec.alpha * hard_losses + soft_losses,
             spec.alpha * hard_grads + soft_grads,
-            soft_rows,
+            targets,
             q,
         )
     if spec.mode == "logitmatch":
-        if teacher_logits.shape != logits.shape:
-            raise ShapeError(
-                f"teacher logits {teacher_logits.shape} vs student {logits.shape}"
-            )
-        diff = logits - teacher_logits
-        return 0.5 * (diff * diff).sum(axis=1), diff, teacher_logits, logits
+        if targets.shape != logits.shape:
+            raise ShapeError(f"teacher logits {targets.shape} vs student {logits.shape}")
+        diff = logits - targets
+        return 0.5 * (diff * diff).sum(axis=1), diff, targets, logits
     raise InvalidArgumentError(
         f"mode {spec.mode!r} has no per-frame objective; it is a schedule over {regime.phases}"
     )

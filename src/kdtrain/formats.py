@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import FrameDataset, Utterance
-from .distill import SoftTargetSet
+from .distill import REGIMES, SoftTargetSet
 from .errors import FormatError
 from .feedforward import FeedForwardParams
 from .lstm import LstmLayerParams, LstmProjParams
@@ -311,43 +311,50 @@ def write_run_record(path, rec: RunRecord) -> None:
 
 
 def read_run_record(path) -> RunRecord:
-    header: dict[str, str] = {}
+    """Parse a run record. Every header line that ``run_record_text``
+    writes must be present (``test_fa`` is optional); an unknown regime,
+    other columns, or a non-numeric value raise FormatError."""
+    header: dict[str, tuple[int, str]] = {}
     epochs: list[EpochStats] = []
-    test_fa = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            fields = line[1:].split(None, 1)
-            if len(fields) == 2:
-                header[fields[0]] = fields[1]
+            key, _, value = line[1:].strip().partition(" ")
+            header[key] = (lineno, value.strip())
             continue
         cols = line.split()
         if len(cols) != 7:
             raise FormatError(f"run record {path}: line {lineno} has {len(cols)} columns")
-        epochs.append(
-            EpochStats(
-                epoch=int(cols[0]),
-                learning_rate=float(cols[1]),
-                mean_loss=float(cols[2]),
-                train_accuracy=float(cols[3]),
-                cv_accuracy=float(cols[4]),
-                grad_variance=float(cols[5]),
-                grad_variance_first_term=float(cols[6]),
-            )
-        )
-    if header.get("kdtrain-runrec") != "v1":
-        raise FormatError(f"run record {path}: missing or unsupported header")
-    if "test_fa" in header:
-        test_fa = float(header["test_fa"])
+        try:
+            epochs.append(EpochStats(int(cols[0]), *(float(c) for c in cols[1:])))
+        except ValueError as exc:
+            raise FormatError(f"run record {path}: line {lineno}: {exc}") from None
+
+    def field(key: str, convert=str):
+        if key not in header:
+            raise FormatError(f"run record {path}: missing '# {key}' line")
+        lineno, value = header[key]
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise FormatError(f"run record {path}: line {lineno}: {exc}") from None
+
+    if field("kdtrain-runrec") != "v1":
+        raise FormatError(f"run record {path}: unsupported header")
+    if field("columns") != _RUNREC_COLUMNS:
+        raise FormatError(f"run record {path}: columns are not '{_RUNREC_COLUMNS}'")
+    regime = field("regime")
+    if regime not in REGIMES:
+        raise FormatError(f"run record {path}: unknown regime {regime!r}")
     return RunRecord(
-        model=header.get("model", "?"),
-        regime=header.get("regime", "?"),
-        temperature=float(header.get("temperature", "1.0")),
-        alpha=float(header.get("alpha", "0.5")),
-        seed=int(header.get("seed", "0")),
-        config_digest=header.get("config_digest", ""),
+        model=field("model"),
+        regime=regime,
+        temperature=field("temperature", float),
+        alpha=field("alpha", float),
+        seed=field("seed", int),
+        config_digest=field("config_digest"),
         epochs=epochs,
-        test_accuracy=test_fa,
+        test_accuracy=field("test_fa", float) if "test_fa" in header else None,
     )

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datasets import FrameDataset
+from .datasets import FrameDataset, validate_soft_targets
 from .distill import REGIMES, DistillLossSpec, SoftTargetSet, frame_objective, one_hot_rows
 from .errors import (
     AlignmentError,
@@ -116,14 +116,16 @@ class Batch:
     """S parallel windows of F frames. ``mask`` marks real frames (the
     zero-padded tail of a short final window is False). ``resets`` marks
     slots whose window starts a new utterance, i.e. whose recurrent
-    state must be zeroed before the forward pass."""
+    state must be zeroed before the forward pass. ``targets`` holds the
+    rows the regime reads for these frames: the teacher's soft targets
+    for "soft" and "reg" (and pretrain's soft phase), the teacher's
+    logits for "logitmatch", None for a hard phase."""
 
     features: np.ndarray  # (S, F, D)
     labels: np.ndarray  # (S, F)
     mask: np.ndarray  # (S, F) bool
     resets: np.ndarray  # (S,) bool
-    soft: np.ndarray | None = None  # (S, F, K)
-    teacher_logits: np.ndarray | None = None  # (S, F, K)
+    targets: np.ndarray | None = None  # (S, F, K)
 
 
 def iter_batches(
@@ -131,15 +133,15 @@ def iter_batches(
     order: np.ndarray,
     streams: int,
     window: int,
-    soft_rows: np.ndarray | None = None,
-    teacher_logits: np.ndarray | None = None,
+    targets: np.ndarray | None = None,
 ) -> Iterator[Batch]:
     """Yield stream batches covering every frame of ``dataset`` exactly
     once, following ``order`` (a permutation of utterance indices).
 
     Slot s consumes order[s::streams] in sequence; windows never span an
     utterance boundary, and an utterance's final short window is
-    zero-padded with its mask cleared.
+    zero-padded with its mask cleared. ``targets``, when given, is a
+    (total_frames x K) matrix cut into windows alongside the features.
     """
     queues = [order[s::streams] for s in range(streams)]
     position = [0] * streams
@@ -151,8 +153,7 @@ def iter_batches(
         labels = np.zeros((streams, window), dtype=np.int64)
         mask = np.zeros((streams, window), dtype=bool)
         resets = np.zeros(streams, dtype=bool)
-        soft = None if soft_rows is None else np.zeros((streams, window, k))
-        tlog = None if teacher_logits is None else np.zeros((streams, window, k))
+        rows = None if targets is None else np.zeros((streams, window, k))
         emitted = False
         for s in range(streams):
             if position[s] >= len(queues[s]):
@@ -165,10 +166,8 @@ def iter_batches(
             feats[s, :take] = dataset.features[lo : lo + take]
             labels[s, :take] = dataset.labels[lo : lo + take]
             mask[s, :take] = True
-            if soft is not None:
-                soft[s, :take] = soft_rows[lo : lo + take]
-            if tlog is not None:
-                tlog[s, :take] = teacher_logits[lo : lo + take]
+            if rows is not None:
+                rows[s, :take] = targets[lo : lo + take]
             cursor[s] += take
             if cursor[s] >= u.count:
                 position[s] += 1
@@ -176,30 +175,15 @@ def iter_batches(
             emitted = True
         if not emitted:
             return
-        yield Batch(feats, labels, mask, resets, soft, tlog)
+        yield Batch(feats, labels, mask, resets, rows)
 
 
-def check_alignment(dataset: FrameDataset, soft_set: SoftTargetSet) -> None:
-    """Raise AlignmentError unless the soft-target set describes exactly
-    the frames of ``dataset``."""
-    if soft_set.class_count != dataset.num_classes:
-        raise AlignmentError(
-            f"soft targets have {soft_set.class_count} classes, dataset has "
-            f"{dataset.num_classes}"
-        )
-    if soft_set.frame_count == dataset.total_frames:
-        return
-    covered = soft_set.frame_count
-    for u in dataset.utterances:
-        if u.offset + u.count > covered:
-            raise AlignmentError(
-                f"soft targets cover {covered} frames but utterance {u.uid} needs "
-                f"frames [{u.offset}, {u.offset + u.count}); dataset total is "
-                f"{dataset.total_frames}"
-            )
-    raise AlignmentError(
-        f"soft targets cover {covered} frames, dataset has only {dataset.total_frames}"
-    )
+def _require_valid(soft_set: SoftTargetSet, dataset: FrameDataset) -> None:
+    """Raise AlignmentError with the first violation that
+    validate_soft_targets finds in the pairing, if any."""
+    violations = validate_soft_targets(soft_set, dataset)
+    if violations:
+        raise AlignmentError(f"soft targets do not fit the split: {violations[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +295,7 @@ def gradient_variance_report(
         raise InvalidArgumentError(f"need at least 2 frames, have {dataset.total_frames}")
     for targets in target_sets:
         if targets is not None:
-            check_alignment(dataset, targets)
+            _require_valid(targets, dataset)
     y = softmax_rows(eval_logits(params, dataset), 1.0)
     reports = []
     for targets in target_sets:
@@ -346,6 +330,11 @@ class TrainingSchedule:
     streams: int = 4
     window: int = 20
     pretrain_switch_epoch: int | None = None
+
+    def __post_init__(self):
+        for name in ("max_epochs", "streams", "window"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class TrainingAborted(NumericOverflowError):
@@ -387,8 +376,7 @@ def _train_epoch(
     spec: DistillLossSpec,
     params,
     train_set: FrameDataset,
-    soft_rows: np.ndarray | None,
-    teacher_logits: np.ndarray | None,
+    targets: np.ndarray | None,
     schedule: TrainingSchedule,
     opt: OptimizerState,
     shuffle_rng: np.random.Generator,
@@ -400,9 +388,7 @@ def _train_epoch(
     n_frames = 0
     n_correct = 0
     var_acc = GradVarianceAccumulator.for_classes(k)
-    for batch in iter_batches(
-        train_set, order, schedule.streams, schedule.window, soft_rows, teacher_logits
-    ):
+    for batch in iter_batches(train_set, order, schedule.streams, schedule.window, targets):
         logits, state, cache = _forward_training(params, batch, state)
         flat_logits = logits.reshape(-1, k)
         flat_labels = batch.labels.ravel()
@@ -411,8 +397,7 @@ def _train_epoch(
             spec,
             flat_logits,
             flat_labels,
-            None if batch.soft is None else batch.soft.reshape(-1, k),
-            None if batch.teacher_logits is None else batch.teacher_logits.reshape(-1, k),
+            None if batch.targets is None else batch.targets.reshape(-1, k),
         )
         grads[~flat_mask] = 0.0
         loss_sum += float(losses[flat_mask].sum())
@@ -449,28 +434,32 @@ def run_training(
     epoch numbering (and hence per-epoch shuffling) continues across it,
     so a switch at epoch 0 reproduces a plain hard run exactly.
 
+    A soft regime's targets must pass validate_soft_targets against
+    ``train_set`` (frame count, K, entries in [0, 1], rows summing to 1)
+    and carry the regime's T; otherwise AlignmentError is raised before
+    any epoch runs. "logitmatch" trains on the teacher's logits.
+
     Returns (RunRecord, trained params). On numeric overflow raises
     TrainingAborted carrying the record and the last epoch's parameters.
     """
     schedule = schedule or TrainingSchedule()
     params = init_params.copy()
     regime = REGIMES[spec.mode]
-    soft_rows = None
+    targets = None
     if regime.soft_targets:
         if soft_targets is None:
             raise InvalidArgumentError(f"regime {spec.mode!r} requires soft targets")
-        check_alignment(train_set, soft_targets)
+        _require_valid(soft_targets, train_set)
         if soft_targets.temperature != spec.temperature:
             raise AlignmentError(
                 f"soft targets were recorded at T={soft_targets.temperature:g}, "
                 f"regime {spec.mode!r} trains at T={spec.temperature:g}"
             )
-        soft_rows = soft_targets.rows
-    teacher_logits = None
-    if regime.teacher_logits:
+        targets = soft_targets.rows
+    elif regime.teacher_logits:
         if teacher is None:
             raise InvalidArgumentError(f"regime {spec.mode!r} requires the teacher model")
-        teacher_logits = ff_forward(teacher, train_set.features)
+        targets = ff_forward(teacher, train_set.features)
     phases = [
         (
             DistillLossSpec(mode, spec.alpha, spec.temperature),
@@ -495,7 +484,8 @@ def run_training(
         opt = OptimizerState(learning_rate, momentum, clip_norm)
         best_cv = -np.inf
         consecutive = 0
-        phase_rows = soft_rows if phase_spec.uses_soft_targets else None
+        reads = REGIMES[phase_spec.mode]
+        phase_targets = targets if reads.soft_targets or reads.teacher_logits else None
         phase_epochs = 0
         while phase_epochs < schedule.max_epochs:
             started = time.perf_counter()
@@ -505,8 +495,8 @@ def run_training(
                 # in sgd_momentum_step, which report it; numpy need not warn first
                 with np.errstate(over="ignore", invalid="ignore"):
                     mean_loss, tr_fa, var = _train_epoch(
-                        phase_spec, params, train_set, phase_rows, teacher_logits, schedule,
-                        opt, shuffle_rng,
+                        phase_spec, params, train_set, phase_targets, schedule, opt,
+                        shuffle_rng,
                     )
                     cv_fa = frame_accuracy(params, cv_set)
             except NumericOverflowError as exc:

@@ -10,8 +10,14 @@ import yaml
 
 from kdtrain import training
 from kdtrain.cli import main
-from kdtrain.distill import MODES
-from kdtrain.formats import read_run_record
+from kdtrain.distill import REGIMES, SoftTargetSet, export_soft_targets
+from kdtrain.formats import (
+    read_checkpoint,
+    read_dataset,
+    read_run_record,
+    read_soft_targets,
+    write_soft_targets,
+)
 
 CONFIG = {
     "task": {"seed": 7, "classes": 4, "feature_dim": 5, "min_frames": 8, "max_frames": 15,
@@ -19,7 +25,7 @@ CONFIG = {
     "teacher": {"hidden": [8], "max_epochs": 2},
     "student": {"cells": 6, "projection": 3},
     "train": {"max_epochs": 2, "streams": 3, "window": 5, "pretrain_switch_epoch": 1},
-    "experiment": {"regimes": list(MODES), "temperatures": [2.0], "seeds": [3]},
+    "experiment": {"regimes": list(REGIMES), "temperatures": [2.0], "seeds": [3]},
 }
 PIPELINE = (
     ["generate-data"], ["train-teacher"], ["export-soft"], ["train-student"],
@@ -178,3 +184,46 @@ def test_numeric_abort_exits_1_and_keeps_last_good_epoch(tmp_path):
     assert (out / "student_hard_s3.aborted.dkdm").exists()
     assert read_run_record(out / "student_hard_s3.aborted.runrec").epochs == []
     assert not (out / "student_hard_s3.dkdm").exists()
+
+
+@pytest.mark.parametrize("case", ["cv split", "off-normalised row"])
+def test_misfit_soft_targets_exit_3_before_any_epoch(done, tmp_path, capsys, case):
+    """A soft set exported on the cv split, or one with a row that does
+    not sum to 1, written over the train soft file."""
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    for stale in copy.glob("student_soft_T2_s3.*"):
+        stale.unlink()
+    soft_path = copy / "soft_T2_s3.dkst"
+    if case == "cv split":
+        teacher = read_checkpoint(copy / "teacher_s3.dkdm")
+        bad = export_soft_targets(teacher, read_dataset(copy / "dataset_cv.dkds"), [2.0])[0]
+    else:
+        soft = read_soft_targets(soft_path)
+        rows = soft.rows.copy()
+        rows[0] *= 0.5
+        bad = SoftTargetSet(2.0, rows, soft.teacher_digest)
+    write_soft_targets(soft_path, bad)
+    capsys.readouterr()
+    assert run(config, copy, "train-student", "--regime", "soft") == 3
+    assert "epoch" not in capsys.readouterr().out
+    assert not list(copy.glob("student_soft_T2_s3.*"))
+    assert run(config, copy, "variance-report") == 3
+
+
+def test_report_refuses_a_record_without_its_regime_line(done, tmp_path):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    record = copy / "teacher_s3.runrec"
+    lines = record.read_text().splitlines(keepends=True)
+    record.write_text("".join(ln for ln in lines if not ln.startswith("# regime ")))
+    assert run(config, copy, "report") == 3
+
+
+def test_report_refuses_a_completed_record_without_epochs(done, tmp_path):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    record = copy / "teacher_s3.runrec"
+    lines = record.read_text().splitlines(keepends=True)
+    record.write_text("".join(ln for ln in lines if ln.startswith("#")))
+    assert run(config, copy, "report") == 3

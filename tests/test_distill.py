@@ -12,7 +12,6 @@ import pytest
 from kdtrain import distill, formats
 from kdtrain.datasets import SynthTaskSpec, generate_synth
 from kdtrain.distill import (
-    MODES,
     REGIMES,
     DistillLossSpec,
     SoftTargetSet,
@@ -66,15 +65,16 @@ class TestDistillLossSpec:
 
     def test_t2_scaling_defaults_on_only_for_reg(self):
         """T^2 scaling and soft-target use are per-regime constants."""
-        assert [m for m in MODES if DistillLossSpec(m).scale_resolved] == ["reg"]
-        assert [m for m in MODES if DistillLossSpec(m).uses_soft_targets] == [
+        modes = tuple(REGIMES)
+        assert [m for m in modes if REGIMES[m].scale_t2] == ["reg"]
+        assert [m for m in modes if REGIMES[m].soft_targets] == [
             "soft", "reg", "pretrain"
         ]
-        assert MODES == ("hard", "soft", "reg", "pretrain", "logitmatch")
-        assert [REGIMES[m].phases for m in MODES] == [
+        assert modes == ("hard", "soft", "reg", "pretrain", "logitmatch")
+        assert [REGIMES[m].phases for m in modes] == [
             ("hard",), ("soft",), ("reg",), ("soft", "hard"), ("logitmatch",)
         ]
-        assert [m for m in MODES if REGIMES[m].teacher_logits] == ["logitmatch"]
+        assert [m for m in modes if REGIMES[m].teacher_logits] == ["logitmatch"]
 
 
 class TestSoftenLogits:
@@ -233,7 +233,7 @@ class TestLogitMatching:
     def _match(self, z, v):
         losses, grads, _, _ = frame_objective(
             DistillLossSpec("logitmatch"), np.atleast_2d(z), np.zeros(1, dtype=int),
-            teacher_logits=np.atleast_2d(v),
+            targets=np.atleast_2d(v),
         )
         return losses[0], grads[0]
 
@@ -391,7 +391,7 @@ class TestBatchObjectives:
         teacher = rng.uniform(-2, 2, size=(10, 3))
         losses, grads, _, _ = frame_objective(
             DistillLossSpec("logitmatch"), logits, rng.integers(0, 3, size=10),
-            teacher_logits=teacher,
+            targets=teacher,
         )
         for i in range(10):
             d = logits[i] - teacher[i]

@@ -259,3 +259,37 @@ class TestRunRecords:
         p.write_text("1 0.1 2.0 30.0 29.0 0.5 0.6\n")
         with pytest.raises(FormatError):
             read_run_record(p)
+
+    def test_empty_digest_and_no_test_accuracy_round_trip(self, tmp_path):
+        rec = RunRecord("teacher", "hard", 1.0, 0.5, 0, "")
+        path = tmp_path / "r.runrec"
+        write_run_record(path, rec)
+        loaded = read_run_record(path)
+        assert loaded.config_digest == "" and loaded.test_accuracy is None
+        assert run_record_text(loaded) == run_record_text(rec)
+
+    @pytest.mark.parametrize("field", [
+        "kdtrain-runrec", "model", "regime", "temperature", "alpha", "seed", "config_digest",
+        "columns",
+    ])
+    def test_missing_header_field_rejected(self, tmp_path, field):
+        lines = run_record_text(_record()).splitlines(keepends=True)
+        p = tmp_path / "r.runrec"
+        p.write_text("".join(ln for ln in lines if not ln.startswith(f"# {field} ")))
+        with pytest.raises(FormatError, match=f"missing '# {field}' line"):
+            read_run_record(p)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("# regime reg", "# regime kaldi", "unknown regime 'kaldi'"),
+        ("# seed 3", "# seed three", "line 6"),
+        ("# columns epoch lr", "# columns epoch rate", "columns are not"),
+        (" 41.0 ", " forty-one ", "line 10"),
+        ("\n2 ", "\n2.5 ", "line 10"),
+    ])
+    def test_malformed_record_rejected_naming_the_fault(self, tmp_path, old, new, message):
+        text = run_record_text(_record())
+        assert text.count(old) == 1
+        p = tmp_path / "r.runrec"
+        p.write_text(text.replace(old, new))
+        with pytest.raises(FormatError, match=message):
+            read_run_record(p)

@@ -44,7 +44,7 @@ def entropy_rows(z, t):
 def logit_match(z, v):
     z, v = np.atleast_2d(z).astype(float), np.atleast_2d(v).astype(float)
     losses, grads, _, _ = frame_objective(
-        DistillLossSpec("logitmatch"), z, np.zeros(len(z), dtype=int), teacher_logits=v
+        DistillLossSpec("logitmatch"), z, np.zeros(len(z), dtype=int), targets=v
     )
     return losses, grads
 

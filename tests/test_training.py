@@ -141,12 +141,12 @@ def test_iter_batches_covers_every_frame_once_within_utterances(streams, window)
     utt_of = np.repeat(np.arange(len(counts)), counts)
     seen = []
     slot_utts = [[] for _ in range(streams)]
-    for batch in iter_batches(split, order, streams, window, rows, -rows):
+    for batch in iter_batches(split, order, streams, window, rows):
         assert batch.features.shape == (streams, window, 2)
         for s in range(streams):
             real = int(batch.mask[s].sum())
             assert batch.mask[s, :real].all()  # real frames first, then padding
-            for padded in (batch.features, batch.soft, batch.teacher_logits):
+            for padded in (batch.features, batch.targets):
                 np.testing.assert_array_equal(padded[s, real:], 0.0)
             if real == 0:
                 assert not batch.resets[s]
@@ -159,8 +159,7 @@ def test_iter_batches_covers_every_frame_once_within_utterances(streams, window)
             if batch.resets[s]:
                 slot_utts[s].append(u)
             np.testing.assert_array_equal(batch.labels[s, :real], split.labels[idx])
-            np.testing.assert_array_equal(batch.soft[s, :real], rows[idx])
-            np.testing.assert_array_equal(batch.teacher_logits[s, :real], -rows[idx])
+            np.testing.assert_array_equal(batch.targets[s, :real], rows[idx])
             seen.extend(idx)
     np.testing.assert_array_equal(np.sort(seen), np.arange(split.total_frames))
     for s in range(streams):
@@ -317,3 +316,40 @@ def test_one_variance_call_equals_one_call_per_target_set(task):
         (alone,) = gradient_variance_report(student, train_set, [targets])
         for f in dataclasses.fields(rep):
             np.testing.assert_array_equal(getattr(rep, f.name), getattr(alone, f.name))
+
+
+@pytest.mark.parametrize("field", ["max_epochs", "streams", "window"])
+def test_schedule_below_one_rejected(field):
+    with pytest.raises(InvalidArgumentError, match=field):
+        TrainingSchedule(**{field: 0})
+
+
+def misfit_soft_sets(train_set, teacher):
+    """Soft-target sets that do not fit ``train_set``, each with the
+    start of the violation validate_soft_targets reports for it."""
+    soft = export_soft_targets(teacher, train_set, [2.0])[0]
+    off_norm = soft.rows.copy()
+    off_norm[3] *= 0.5
+    wide = np.full((train_set.total_frames, 5), 0.2)
+    return {
+        "other frame count": (SoftTargetSet(2.0, soft.rows[:-1]), "frame count mismatch"),
+        "other K": (SoftTargetSet(2.0, wide), "class count mismatch"),
+        "off-normalised row": (SoftTargetSet(2.0, off_norm), "row 3 sums to 0.5"),
+    }
+
+
+@pytest.mark.parametrize("case", ["other frame count", "other K", "off-normalised row"])
+def test_misfit_soft_targets_rejected_before_any_work(task, monkeypatch, case):
+    train_set, _, student, teacher = task
+    bad, message = misfit_soft_sets(train_set, teacher)[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on soft targets that do not fit")
+
+    monkeypatch.setattr(training, "_train_epoch", no_work)
+    monkeypatch.setattr(training, "eval_logits", no_work)
+    for mode in ("soft", "reg", "pretrain"):
+        with pytest.raises(AlignmentError, match=message):
+            train(task, mode, 2.0, soft_targets=bad)
+    with pytest.raises(AlignmentError, match=message):
+        gradient_variance_report(student, train_set, [None, bad])
