@@ -25,7 +25,7 @@ from .errors import (
     KdtrainError,
     NumericOverflowError,
 )
-from .feedforward import init_feedforward
+from .feedforward import FeedForwardParams, init_feedforward
 from .formats import (
     RunRecord,
     checkpoint_digest,
@@ -133,7 +133,7 @@ def _expand_cells(regimes, temperatures, seeds):
 
 
 def cmd_generate_data(cfg: ExperimentConfig, out: Path) -> None:
-    splits = generate_synth(cfg.task_spec(), cfg.data_seed)
+    splits = generate_synth(cfg.task, cfg.data_seed)
     for name in _SPLITS:
         ds = getattr(splits, name)
         write_dataset(out / f"dataset_{name}.dkds", ds)
@@ -142,31 +142,33 @@ def cmd_generate_data(cfg: ExperimentConfig, out: Path) -> None:
               f"{len(ds.utterances)} utterances)")
 
 
-def cmd_train_teacher(cfg: ExperimentConfig, out: Path, seeds: list[int]) -> None:
+def cmd_train_teacher(cfg: ExperimentConfig, out: Path, seeds) -> None:
     splits = [_load_split(out, name) for name in _SPLITS]
-    dims = [splits[0].feature_dim] + cfg.teacher_hidden + [splits[0].num_classes]
+    dims = [splits[0].feature_dim, *cfg.teacher_hidden, splits[0].num_classes]
     for seed in seeds:
         _train_cell(
             cfg, out, splits, _teacher_stem(seed), f"teacher seed {seed}",
             DistillLossSpec("hard", cfg.alpha), init_feedforward(dims, derive_rng(seed, "init")),
-            seed, schedule=cfg.schedule(cfg.teacher_max_epochs),
+            seed, schedule=cfg.teacher_schedule,
             learning_rate=cfg.teacher_learning_rate, model_tag="teacher",
         )
 
 
-def cmd_export_soft(
-    cfg: ExperimentConfig,
-    out: Path,
-    seeds: list[int],
-    temperatures: list[float],
-    teacher_path: str | None,
-) -> None:
+def _read_teacher(path: Path, hint: str) -> FeedForwardParams:
+    if not path.exists():
+        raise ConfigError(f"missing teacher checkpoint {path}{hint}")
+    teacher = read_checkpoint(path)
+    if not isinstance(teacher, FeedForwardParams):
+        raise FormatError(f"teacher checkpoint {path} does not hold a feed-forward model")
+    return teacher
+
+
+def cmd_export_soft(cfg: ExperimentConfig, out: Path, seeds, temperatures,
+                    teacher_path: str | None) -> None:
     train = _load_split(out, "train")
     for seed in seeds:
         path = Path(teacher_path) if teacher_path else out / f"{_teacher_stem(seed)}.dkdm"
-        if not path.exists():
-            raise ConfigError(f"missing teacher checkpoint {path}; run train-teacher first")
-        teacher = read_checkpoint(path)
+        teacher = _read_teacher(path, "; run train-teacher first")
         for t, soft in zip(temperatures, export_soft_targets(teacher, train, temperatures)):
             target = out / _soft_name(t, seed)
             write_soft_targets(target, soft)
@@ -189,38 +191,22 @@ def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, 
             raise ConfigError(f"missing soft targets {soft_path}; run export-soft first")
         soft = read_soft_targets(soft_path)
     if REGIMES[regime].teacher_logits:
-        teacher_path = out / f"{_teacher_stem(seed)}.dkdm"
-        if not teacher_path.exists():
-            raise ConfigError(f"missing teacher checkpoint {teacher_path} for logit matching")
-        teacher = read_checkpoint(teacher_path)
+        teacher = _read_teacher(out / f"{_teacher_stem(seed)}.dkdm", " for logit matching")
     stem = _student_stem(regime, t, seed)
     _train_cell(
         cfg, out, splits, stem, stem, DistillLossSpec(regime, cfg.alpha, t), init, seed,
-        soft_targets=soft, teacher=teacher, schedule=cfg.schedule(),
+        soft_targets=soft, teacher=teacher, schedule=cfg.schedule,
         learning_rate=cfg.learning_rate, model_tag="student",
     )
 
 
-def _cell_worker(config_path: str | None, out_str: str, regime: str, t: float, seed: int) -> str:
-    cfg = load_config(config_path)
-    _train_one_student(cfg, Path(out_str), regime, t, seed)
-    return _student_stem(regime, t, seed)
-
-
-def cmd_train_student(
-    cfg: ExperimentConfig,
-    out: Path,
-    config_path: str | None,
-    regimes: list[str],
-    temperatures: list[float],
-    seeds: list[int],
-    parallel: int,
-) -> None:
+def cmd_train_student(cfg: ExperimentConfig, out: Path, regimes, temperatures, seeds,
+                      parallel: int) -> None:
     cells = _expand_cells(regimes, temperatures, seeds)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             futures = [
-                pool.submit(_cell_worker, config_path, str(out), regime, t, seed)
+                pool.submit(_train_one_student, cfg, out, regime, t, seed)
                 for regime, t, seed in cells
             ]
             for f in futures:
@@ -389,7 +375,7 @@ def _dispatch(args) -> None:
         if bad:
             raise ConfigError(f"unknown regime(s) {bad}")
         temps = [args.temperature] if args.temperature is not None else cfg.temperatures
-        cmd_train_student(cfg, out, args.config, regimes, temps, seeds, args.parallel)
+        cmd_train_student(cfg, out, regimes, temps, seeds, args.parallel)
     elif args.command == "eval":
         cmd_eval(cfg, out, args.model, args.split)
     elif args.command == "variance-report":
@@ -403,19 +389,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _dispatch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FormatError, AlignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericOverflowError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except KdtrainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (KdtrainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

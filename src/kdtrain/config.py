@@ -2,23 +2,34 @@
 
 Every key has a desk-scale default, so an empty (or absent) file is a
 complete experiment. Unknown keys anywhere are errors - silent typos in
-sweep configs are worse than a hard failure. The SHA-256 digest of the
-resolved configuration identifies an output directory; commands refuse
-to write into a directory initialized under a different digest.
+sweep configs are worse than a hard failure.
+
+``load_config`` types every value once, as its key's default: an int
+key takes an int or a whole float (20.0); a float key takes whatever
+``float()`` parses, such as the string PyYAML makes of 1e-3; a list key
+takes only a list, typed element by element; a bool is never a number.
+The owning constructors (``SynthTaskSpec``, ``TrainingSchedule``,
+``OptimizerState``, ``DistillLossSpec``) then apply their range rules,
+so a bad value is a ConfigError naming its key or rule at load.
+
+The SHA-256 digest covers the merged values as written, not as typed
+(``window: 20.0`` and ``window: 20`` differ). It identifies an output
+directory; commands refuse to write into a directory initialized under
+a different digest.
 """
 
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .datasets import SynthTaskSpec
-from .distill import REGIMES
+from .distill import DistillLossSpec
 from .errors import ConfigError, InvalidArgumentError
-from .training import TrainingSchedule
+from .training import OptimizerState, TrainingSchedule
 
 DEFAULTS = {
     "task": {
@@ -85,125 +96,127 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-@dataclass
+# Keys that may be null: the type of a value, and the key a null falls back to.
+_NULLABLE = {"teacher.learning_rate": (float, "train.learning_rate"),
+             "teacher.max_epochs": (int, "train.max_epochs"),
+             "train.pretrain_switch_epoch": (int, None)}
+# Lower bounds that no constructor checks at load.
+_MINIMUM = {"task.seed": 0, "teacher.hidden": 1, "student.layers": 1, "student.cells": 1,
+            "student.projection": 1, "experiment.seeds": 0}
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string"}
+
+
+def _as(key: str, kind, value, minimum=None):
+    """``value`` converted to ``kind`` (int, float, str, or ``[kind]`` for
+    a list), or a ConfigError naming ``key``."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
+        return tuple(_as(f"{key}[{i}]", kind[0], v, minimum) for i, v in enumerate(value))
+    ok = not isinstance(value, bool) and (kind is not str or isinstance(value, str))
+    if kind is int and isinstance(value, float):
+        ok = ok and value.is_integer()
+    try:
+        converted = kind(value) if ok else None
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None:
+        raise ConfigError(f"config key '{key}' must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if minimum is not None and converted < minimum:
+        raise ConfigError(f"config key '{key}' must be at least {minimum}, got {converted}")
+    return converted
+
+
+def _typed(values: dict) -> dict:
+    """Every leaf of the merged ``values``, by dotted key, as its type,
+    with the teacher's nulls filled from the train section."""
+    out = {}
+    for section, defaults in DEFAULTS.items():
+        for name, default in defaults.items():
+            key, value = f"{section}.{name}", values[section][name]
+            if key in _NULLABLE:
+                out[key] = None if value is None else _as(key, _NULLABLE[key][0], value)
+            else:
+                kind = [type(default[0])] if isinstance(default, list) else type(default)
+                out[key] = _as(key, kind, value, _MINIMUM.get(key))
+    for key, (_, fallback) in _NULLABLE.items():
+        if out[key] is None and fallback:
+            out[key] = out[fallback]
+    return out
+
+
+def _checked(rule: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its range error a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{rule}: {exc}") from exc
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One resolved experiment. ``values`` is the merged YAML as written
+    and the digest's only input; every other field is a typed,
+    range-checked setting built from it by ``load_config``."""
+
     values: dict
-
-    @property
-    def data_seed(self) -> int:
-        return int(self.values["task"]["seed"])
-
-    def task_spec(self) -> SynthTaskSpec:
-        t = self.values["task"]
-        return SynthTaskSpec(
-            num_classes=int(t["classes"]),
-            feature_dim=int(t["feature_dim"]),
-            self_loop=float(t["self_loop"]),
-            noise_scale=float(t["noise_scale"]),
-            noise_corr=float(t["noise_corr"]),
-            blend_frames=int(t["blend_frames"]),
-            min_frames=int(t["min_frames"]),
-            max_frames=int(t["max_frames"]),
-            train_utterances=int(t["train_utterances"]),
-            cv_utterances=int(t["cv_utterances"]),
-            test_utterances=int(t["test_utterances"]),
-        )
-
-    @property
-    def teacher_hidden(self) -> list[int]:
-        return [int(h) for h in self.values["teacher"]["hidden"]]
-
-    @property
-    def teacher_learning_rate(self) -> float:
-        lr = self.values["teacher"]["learning_rate"]
-        return float(lr) if lr is not None else self.learning_rate
-
-    @property
-    def teacher_max_epochs(self) -> int:
-        m = self.values["teacher"]["max_epochs"]
-        return int(m) if m is not None else int(self.values["train"]["max_epochs"])
-
-    @property
-    def student_shape(self) -> tuple[int, int, int]:
-        s = self.values["student"]
-        return int(s["layers"]), int(s["cells"]), int(s["projection"])
-
-    @property
-    def learning_rate(self) -> float:
-        return float(self.values["train"]["learning_rate"])
-
-    @property
-    def momentum(self) -> float:
-        return float(self.values["train"]["momentum"])
-
-    @property
-    def clip_norm(self) -> float:
-        return float(self.values["train"]["clip_norm"])
-
-    def schedule(self, max_epochs: int | None = None) -> TrainingSchedule:
-        t = self.values["train"]
-        switch = t["pretrain_switch_epoch"]
-        return TrainingSchedule(
-            max_epochs=int(max_epochs if max_epochs is not None else t["max_epochs"]),
-            improve_threshold=float(t["improve_threshold"]),
-            max_halvings=int(t["max_halvings"]),
-            streams=int(t["streams"]),
-            window=int(t["window"]),
-            pretrain_switch_epoch=None if switch is None else int(switch),
-        )
-
-    @property
-    def regimes(self) -> list[str]:
-        return [str(r) for r in self.values["experiment"]["regimes"]]
-
-    @property
-    def temperatures(self) -> list[float]:
-        return [float(t) for t in self.values["experiment"]["temperatures"]]
-
-    @property
-    def alpha(self) -> float:
-        return float(self.values["experiment"]["alpha"])
-
-    @property
-    def seeds(self) -> list[int]:
-        return [int(s) for s in self.values["experiment"]["seeds"]]
+    data_seed: int
+    task: SynthTaskSpec
+    teacher_hidden: tuple[int, ...]
+    teacher_learning_rate: float
+    teacher_schedule: TrainingSchedule
+    student_shape: tuple[int, int, int]
+    learning_rate: float
+    momentum: float
+    clip_norm: float
+    schedule: TrainingSchedule
+    regimes: tuple[str, ...]
+    temperatures: tuple[float, ...]
+    alpha: float
+    seeds: tuple[int, ...]
 
     def digest(self) -> str:
         canonical = json.dumps(self.values, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def validate(self) -> None:
-        if not self.regimes:
-            raise ConfigError("experiment.regimes must not be empty")
-        bad = [r for r in self.regimes if r not in REGIMES]
-        if bad:
-            raise ConfigError(f"unknown regime(s) {bad}; choose from {list(REGIMES)}")
-        if not self.seeds:
-            raise ConfigError("experiment.seeds must not be empty")
-        if any(t <= 0 for t in self.temperatures) or not self.temperatures:
-            raise ConfigError("experiment.temperatures must be a nonempty list of positives")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"experiment.alpha must be in [0, 1], got {self.alpha}")
-        for section, max_epochs in (("train", None), ("teacher", self.teacher_max_epochs)):
-            try:
-                self.schedule(max_epochs)
-            except InvalidArgumentError as exc:
-                raise ConfigError(f"{section} schedule: {exc}") from exc
-
 
 def load_config(path: str | None = None) -> ExperimentConfig:
-    """Resolve a config file against the defaults; None means defaults."""
+    """Resolve a config file against the defaults (None means defaults),
+    typed and range-checked; a bad setting raises ConfigError here."""
     override = {}
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         loaded = yaml.safe_load(p.read_text())
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        override = {} if loaded is None else loaded
+        if not isinstance(override, dict):
             raise ConfigError(f"config file {p} must hold a mapping")
-        override = loaded
-    cfg = ExperimentConfig(_merge(DEFAULTS, override))
-    cfg.validate()
-    return cfg
+    values = _merge(DEFAULTS, override)
+    v = _typed(values)
+    task = {n: v[f"task.{n}"] for n in DEFAULTS["task"] if n not in ("seed", "classes")}
+    schedule = _checked("train schedule", TrainingSchedule,
+                        **{f.name: v[f"train.{f.name}"] for f in fields(TrainingSchedule)})
+    for section in ("train", "teacher"):
+        _checked(section, OptimizerState, v[f"{section}.learning_rate"], v["train.momentum"],
+                 v["train.clip_norm"])
+    empty = [k for k in ("regimes", "temperatures", "seeds") if not v[f"experiment.{k}"]]
+    if empty:
+        raise ConfigError(f"experiment key(s) {empty} must not be empty")
+    for regime in v["experiment.regimes"]:
+        for t in v["experiment.temperatures"]:
+            _checked("experiment", DistillLossSpec, regime, v["experiment.alpha"], t)
+    return ExperimentConfig(
+        values=values,
+        data_seed=v["task.seed"],
+        task=_checked("task", SynthTaskSpec, num_classes=v["task.classes"], **task),
+        teacher_hidden=v["teacher.hidden"],
+        teacher_learning_rate=v["teacher.learning_rate"],
+        teacher_schedule=_checked("teacher schedule", replace, schedule,
+                                  max_epochs=v["teacher.max_epochs"]),
+        student_shape=(v["student.layers"], v["student.cells"], v["student.projection"]),
+        learning_rate=v["train.learning_rate"], momentum=v["train.momentum"],
+        clip_norm=v["train.clip_norm"], schedule=schedule,
+        regimes=v["experiment.regimes"], temperatures=v["experiment.temperatures"],
+        alpha=v["experiment.alpha"], seeds=v["experiment.seeds"],
+    )

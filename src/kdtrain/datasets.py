@@ -142,6 +142,8 @@ class SynthTaskSpec:
             raise InvalidArgumentError(
                 f"bad utterance length range [{self.min_frames}, {self.max_frames}]"
             )
+        if min(self.train_utterances, self.cv_utterances, self.test_utterances) < 1:
+            raise InvalidArgumentError("every split needs at least 1 utterance")
         if self.transitions is not None:
             t = np.asarray(self.transitions, dtype=np.float64)
             if t.shape != (self.num_classes, self.num_classes):

@@ -70,6 +70,8 @@ class OptimizerState:
             raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.clip_norm > 0:
+            raise InvalidArgumentError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 def global_norm(arrays: list[np.ndarray]) -> float:

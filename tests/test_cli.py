@@ -145,6 +145,24 @@ def test_one_export_over_four_temperatures_equals_four_single_exports(tmp_path, 
     assert digests(alone) == digests(together)
 
 
+def test_parallel_students_equal_the_serial_run(done, tmp_path):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns("student_*"))
+    assert run(config, copy, "train-student", "--parallel", "2") == 0
+    students = {n: d for n, d in digests(out).items() if n.startswith("student_")}
+    assert len(students) == 10
+    assert {n: d for n, d in digests(copy).items() if n.startswith("student_")} == students
+
+
+def test_export_from_a_student_checkpoint_exits_3(done, tmp_path, capsys):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    student = copy / "student_hard_s3.dkdm"
+    assert run(config, copy, "export-soft", "--teacher", str(student)) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: teacher checkpoint {student} does not hold a feed-forward model"]
+
+
 def test_unknown_regime_exits_2(done):
     assert run(*done, "train-student", "--regime", "kaldi") == 2
 

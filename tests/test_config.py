@@ -1,14 +1,13 @@
 """Experiment configuration: the defaults, the key schema, the teacher's
-fallbacks to the train section, the digest, and the refusal of schedule
-values that would crash or hang training (exit 2 at load, no traceback)."""
-
-import copy
+fallbacks to the train section, the digest, the typing rule, and the
+refusal of every wrong-typed or out-of-range value at load (exit 2, one
+``error:`` line, no traceback, no output directory)."""
 
 import pytest
 import yaml
 
 from kdtrain.cli import main
-from kdtrain.config import DEFAULTS, ExperimentConfig, load_config
+from kdtrain.config import DEFAULTS, load_config
 from kdtrain.errors import ConfigError
 
 
@@ -20,8 +19,7 @@ def write_yaml(path, values):
 def test_defaults_validate():
     cfg = load_config(None)
     assert cfg.values == DEFAULTS
-    ExperimentConfig(copy.deepcopy(DEFAULTS)).validate()
-    assert cfg.schedule().max_epochs == DEFAULTS["train"]["max_epochs"]
+    assert cfg.schedule.max_epochs == DEFAULTS["train"]["max_epochs"]
 
 
 def test_unknown_nested_key_names_its_dotted_path(tmp_path):
@@ -37,13 +35,13 @@ def test_teacher_nulls_fall_back_to_the_train_section(tmp_path):
         tmp_path / "null.yaml",
         {"teacher": {"learning_rate": None, "max_epochs": None}, "train": train},
     ))
-    assert cfg.teacher_learning_rate == 0.02 and cfg.teacher_max_epochs == 7
+    assert cfg.teacher_learning_rate == 0.02 and cfg.teacher_schedule.max_epochs == 7
     cfg = load_config(write_yaml(
         tmp_path / "own.yaml",
         {"teacher": {"learning_rate": 0.5, "max_epochs": 3}, "train": train},
     ))
-    assert cfg.teacher_learning_rate == 0.5 and cfg.teacher_max_epochs == 3
-    assert cfg.learning_rate == 0.02 and cfg.schedule().max_epochs == 7
+    assert cfg.teacher_learning_rate == 0.5 and cfg.teacher_schedule.max_epochs == 3
+    assert cfg.learning_rate == 0.02 and cfg.schedule.max_epochs == 7
 
 
 def test_digest_does_not_depend_on_key_order(tmp_path):
@@ -69,3 +67,83 @@ def test_schedule_below_one_exits_2_at_load(tmp_path, capsys, section, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def assert_refused_at_load(tmp_path, capsys, text, match):
+    """``text`` as the config: exit 2 before ``--out`` exists, with one
+    ``error:`` line that contains ``match``."""
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "generate-data"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0], lines
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+LEAVES = [(section, name, default) for section, keys in DEFAULTS.items()
+          for name, default in keys.items()]
+
+
+def wrong_values(default):
+    if isinstance(default, list):
+        return [3, "hard", {"a": 1}, [True], [[1]], [None]]
+    return ["x", True, [1], {"a": 1}]
+
+
+@pytest.mark.parametrize("section, name, value", [
+    pytest.param(section, name, value, id=f"{section}.{name}={value!r}")
+    for section, name, default in LEAVES for value in wrong_values(default)
+])
+def test_every_key_refuses_a_wrong_type_at_load(tmp_path, capsys, section, name, value):
+    text = yaml.safe_dump({section: {name: value}})
+    assert_refused_at_load(tmp_path, capsys, text, f"'{section}.{name}")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("train: {window: x}", "'train.window' must be an int, got 'x'"),
+    ("train: {window: 2.7}", "'train.window' must be an int, got 2.7"),
+    ("train: {streams: true}", "'train.streams' must be an int, got True"),
+    ("experiment: {seeds: 3}", "'experiment.seeds' must be a list, got 3"),
+    ("experiment: {seeds: [1, 2.5]}", "'experiment.seeds[1]' must be an int, got 2.5"),
+    ("experiment: {seeds: []}", "['seeds'] must not be empty"),
+    ("experiment: {regimes: hard}", "'experiment.regimes' must be a list, got 'hard'"),
+    ("experiment: {regimes: [hard, kaldi]}", "experiment: unknown mode 'kaldi'"),
+    ("experiment: {temperatures: [2, 0]}", "experiment: temperature must be positive"),
+    ("experiment: {alpha: 1.5}", "experiment: alpha must be in [0, 1]"),
+    ("task: {classes: many}", "'task.classes' must be an int, got 'many'"),
+    ("task: {classes: 1}", "task: need at least 2 classes, got 1"),
+    ("task: {min_frames: 0}", "task: bad utterance length range [0, 80]"),
+    ("task: {cv_utterances: 0}", "task: every split needs at least 1 utterance"),
+    ("task: {seed: -1}", "'task.seed' must be at least 0, got -1"),
+    ("teacher: {hidden: 128}", "'teacher.hidden' must be a list, got 128"),
+    ("teacher: {hidden: [16, 0]}", "'teacher.hidden[1]' must be at least 1, got 0"),
+    ("teacher: {learning_rate: 0}", "teacher: learning rate must be positive"),
+    ("student: {cells: 0}", "'student.cells' must be at least 1, got 0"),
+    ("train: {momentum: 1.5}", "train: momentum must be in [0, 1), got 1.5"),
+    ("train: {clip_norm: -5}", "train: clip_norm must be positive, got -5.0"),
+    ("train: {clip_norm: 0}", "train: clip_norm must be positive, got 0.0"),
+])
+def test_bad_setting_exits_2_at_load(tmp_path, capsys, text, match):
+    assert_refused_at_load(tmp_path, capsys, text, match)
+
+
+# Loose but valid values load typed, and their digests stay pinned:
+# existing output directories were initialized under these digests.
+@pytest.mark.parametrize("text, typed, digest", [
+    ("train:\n  learning_rate: 1e-3\n", lambda cfg: cfg.learning_rate == 0.001,
+     "3a0c9f3dc0bef5ea63cf42c863bd9211c07fc12af4a8c054f5cd1416c3b1cc73"),
+    ("train:\n  window: 20.0\n", lambda cfg: repr(cfg.schedule.window) == "20",
+     "6365b50c5cb3aababb27bb06f3bab99546d5064af14b3e9b4827e10f2eae61f5"),
+    ("teacher:\n  hidden: []\n", lambda cfg: cfg.teacher_hidden == (),
+     "89992b717b6c0cb19f74f26f6eb3108d02c68af49dc1249ecf23e76cc93b049e"),
+    ("", lambda cfg: cfg.learning_rate == 0.003 and cfg.teacher_hidden == (128, 128),
+     "1630c04ff667abc1071dbb3eafe6c628cb5b9c05063ecbfb3b4d8e93c35ee093"),
+], ids=["string 1e-3", "whole float window", "linear teacher", "empty file"])
+def test_loose_but_valid_values_load_with_unchanged_digests(tmp_path, text, typed, digest):
+    config = tmp_path / "ok.yaml"
+    config.write_text(text)
+    cfg = load_config(str(config))
+    assert typed(cfg) and cfg.digest() == digest

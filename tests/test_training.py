@@ -324,6 +324,13 @@ def test_schedule_below_one_rejected(field):
         TrainingSchedule(**{field: 0})
 
 
+@pytest.mark.parametrize("clip_norm", [0.0, -5.0])
+def test_clip_norm_must_be_positive(clip_norm):
+    """A negative clip norm would turn every clipped step into ascent."""
+    with pytest.raises(InvalidArgumentError, match="clip_norm"):
+        training.OptimizerState(clip_norm=clip_norm)
+
+
 def misfit_soft_sets(train_set, teacher):
     """Soft-target sets that do not fit ``train_set``, each with the
     start of the violation validate_soft_targets reports for it."""
