@@ -30,7 +30,7 @@ from .lstm import (
     lstm_forward_batch,
     zeros_state,
 )
-from .numeric import finite_diff_check, softmax_rows
+from .numeric import softmax_rows
 from .training import (
     GradVarianceAccumulator,
     OptimizerState,

@@ -180,16 +180,20 @@ def cmd_export_soft(cfg: ExperimentConfig, out: Path, seeds, temperatures,
             print(f"wrote {target.name} (T={_tfmt(t)}, {soft.frame_count} frames)")
 
 
+def _read_soft(out: Path, t: float, seed: int):
+    path = out / _soft_name(t, seed)
+    if not path.exists():
+        raise ConfigError(f"missing soft targets {path}; run export-soft first")
+    return read_soft_targets(path)
+
+
 def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, seed: int):
     splits = [_load_split(out, name) for name in _SPLITS]
     init = _init_student(cfg, splits[0], seed)
     soft = None
     teacher = None
     if REGIMES[regime].soft_targets:
-        soft_path = out / _soft_name(t, seed)
-        if not soft_path.exists():
-            raise ConfigError(f"missing soft targets {soft_path}; run export-soft first")
-        soft = read_soft_targets(soft_path)
+        soft = _read_soft(out, t, seed)
     if REGIMES[regime].teacher_logits:
         teacher = _read_teacher(out / f"{_teacher_stem(seed)}.dkdm", " for logit matching")
     stem = _student_stem(regime, t, seed)
@@ -217,8 +221,6 @@ def cmd_train_student(cfg: ExperimentConfig, out: Path, regimes, temperatures, s
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, model_path: str, split: str) -> None:
-    if split not in _SPLITS:
-        raise ConfigError(f"unknown split {split!r}, choose from {_SPLITS}")
     params = read_checkpoint(model_path)
     ds = _load_split(out, split)
     fa = frame_accuracy(params, ds)
@@ -237,12 +239,7 @@ def cmd_variance_report(
     else:
         student = _init_student(cfg, train, seed)
         origin = "fresh-init"
-    soft_sets = []
-    for t in cfg.temperatures:
-        soft_path = out / _soft_name(t, seed)
-        if not soft_path.exists():
-            raise ConfigError(f"missing soft targets {soft_path}; run export-soft first")
-        soft_sets.append(read_soft_targets(soft_path))
+    soft_sets = [_read_soft(out, t, seed) for t in cfg.temperatures]
     hard, *softs = gradient_variance_report(student, train, [None, *soft_sets])
     lines = [
         "# kdtrain-variance v1",
@@ -359,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> None:
     cfg = load_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     out = Path(args.out)
     _prepare_out(out, cfg)
     seeds = [args.seed] if args.seed is not None else cfg.seeds

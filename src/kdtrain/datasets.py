@@ -76,10 +76,6 @@ class FrameDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def utterance_slice(self, index: int) -> slice:
-        u = self.utterances[index]
-        return slice(u.offset, u.offset + u.count)
-
 
 @dataclass
 class SplitSet:

@@ -4,9 +4,9 @@ Forward and backward are exact, deterministic, and validated against the
 finite-difference checker in the test suite. The forward keeps no
 full-size temporaries: each layer's product, bias and sigmoid are formed
 in one buffer, the same values in the same order as
-``sigmoid(h @ w.T + b)``, so the same bits. The backward reuses the
-activations the forward hands it and recomputes them only when it is
-given none.
+``sigmoid(h @ w.T + b)``, so the same bits. The backward takes the
+activations that forward recorded and returns the parameter gradients
+only; the teacher's input is data, so no gradient is formed for it.
 """
 
 from dataclasses import dataclass
@@ -127,15 +127,13 @@ def ff_backward(
     params: FeedForwardParams,
     features: np.ndarray,
     logit_grads: np.ndarray,
-    hidden: list[np.ndarray] | None = None,
-) -> tuple[FeedForwardParams, np.ndarray]:
-    """Gradients of the scalar loss whose logit-layer gradient is
-    ``logit_grads``, with respect to all parameters and to the input.
+    hidden: list[np.ndarray],
+) -> FeedForwardParams:
+    """Parameter gradients of the scalar loss whose logit-layer gradient
+    is ``logit_grads``, in a FeedForwardParams container.
 
     ``hidden`` is the list ``ff_forward`` filled for these features and
-    parameters; without it the hidden layers are recomputed, to the
-    same bits. Returns (parameter gradients in a FeedForwardParams
-    container, input gradients with the shape of ``features``).
+    parameters; ShapeError if its shapes do not fit them.
     """
     x = np.asarray(features, dtype=np.float64)
     g = np.asarray(logit_grads, dtype=np.float64)
@@ -145,10 +143,7 @@ def ff_backward(
         raise ShapeError(
             f"logit_grads shape {g.shape} should be ({x.shape[0]}, {params.output_dim})"
         )
-    if hidden is None:
-        hidden = []
-        ff_forward(params, x, hidden)
-    elif [h.shape for h in hidden] != [(x.shape[0], w.shape[0]) for w in params.weights[:-1]]:
+    if [h.shape for h in hidden] != [(x.shape[0], w.shape[0]) for w in params.weights[:-1]]:
         raise ShapeError("hidden activations do not match the features and layers")
 
     acts = [x, *hidden]
@@ -159,10 +154,9 @@ def ff_backward(
     for layer in range(n_layers - 1, -1, -1):
         weight_grads[layer] = delta.T @ acts[layer]
         bias_grads[layer] = delta.sum(axis=0)
-        down = delta @ params.weights[layer]
         if layer > 0:
             a = acts[layer]
-            down *= a
-            down *= 1.0 - a
-            delta = down
-    return FeedForwardParams(weight_grads, bias_grads), down
+            delta = delta @ params.weights[layer]
+            delta *= a
+            delta *= 1.0 - a
+    return FeedForwardParams(weight_grads, bias_grads)

@@ -8,11 +8,12 @@ there are no peephole connections. A linear head maps the last layer's
 projected output to K logits.
 
 Backward is truncated BPTT: gradients flow frame to frame inside a
-window but stop at window boundaries unless the caller threads explicit
-state gradients. Forward runs one fixed sequence of operations per
-frame, on operands whose shapes and layout do not depend on the window
-length F, so splitting a window at any frame boundary and carrying the
-state reproduces the unsplit logits and state bit for bit.
+window and stop at every window boundary, so it takes no gradient at a
+window's final state and returns none for its incoming state. Forward
+runs one fixed sequence of operations per frame, on operands whose
+shapes and layout do not depend on the window length F, so splitting a
+window at any frame boundary and carrying the state reproduces the
+unsplit logits and state bit for bit.
 
 At desk sizes (S = 4 streams, C = 64 cells) a numpy call costs more
 than its arithmetic, so a step makes few calls per frame:
@@ -38,8 +39,7 @@ than its arithmetic, so a step makes few calls per frame:
 - Backward forms the gate-derivative factors for the whole window
   before its time loop, which then carries only the recurrence. After
   the loop, each weight gradient is one GEMM (one sum for the bias)
-  over the stacked (F * S) frame rows, so gradients of a split window
-  match the unsplit ones to rounding, not bitwise.
+  over the stacked (F * S) frame rows.
 """
 
 from dataclasses import dataclass, field
@@ -178,9 +178,6 @@ class RecurrentState:
     cells: list[np.ndarray]
     projected: list[np.ndarray]
 
-    def copy(self) -> "RecurrentState":
-        return RecurrentState([c.copy() for c in self.cells], [r.copy() for r in self.projected])
-
 
 def zeros_state(params: LstmProjParams, batch: int) -> RecurrentState:
     return RecurrentState(
@@ -309,18 +306,10 @@ def lstm_forward_batch(
     return logits, state_out, LstmCache(params, layer_caches, s, frames)
 
 
-def _layer_backward(
-    layer: LstmLayerParams,
-    lc: _LayerCache,
-    d_seq: np.ndarray,
-    dc_next: np.ndarray,
-    dr_carry: np.ndarray,
-    want_dx: bool,
-):
+def _layer_backward(layer: LstmLayerParams, lc: _LayerCache, d_seq: np.ndarray, want_dx: bool):
     """Backward through one layer given d_seq, the (F, S, P) gradient
-    arriving at its projected outputs from above, and the gradients at
-    its final state. Returns (weight gradients, dx (F, S, D_in) or None,
-    d cell state in, d projection in)."""
+    arriving at its projected outputs from above; no gradient arrives at
+    its final state. Returns (weight gradients, dx (F, S, D_in) or None)."""
     frames, s, four_c = lc.gates.shape
     c_dim = four_c // 4
     # one copy makes each gate a contiguous (F, S, C) block
@@ -337,6 +326,7 @@ def _layer_backward(
 
     da = np.empty((frames, s, 4, c_dim))
     dr = np.empty((frames, s, layer.proj_dim))
+    dc_next, dr_carry = np.zeros((s, c_dim)), np.zeros((s, layer.proj_dim))
     w_p, w_r = layer.w_p, layer.w_r
     for t in range(frames - 1, -1, -1):
         np.add(d_seq[t], dr_carry, out=dr[t])
@@ -357,21 +347,17 @@ def _layer_backward(
         dr.reshape(frames * s, -1).T @ lc.m.reshape(frames * s, c_dim),
     )
     dx = (da_rows @ layer.w_x).reshape(frames, s, -1) if want_dx else None
-    return grads, dx, dc_next, dr_carry
+    return grads, dx
 
 
 def lstm_backward_batch(
-    params: LstmProjParams,
-    cache: LstmCache,
-    logit_grads: np.ndarray,
-    state_grad_in: RecurrentState | None = None,
-) -> tuple[LstmProjParams, RecurrentState]:
-    """Exact truncated-BPTT gradients for the window that built ``cache``.
+    params: LstmProjParams, cache: LstmCache, logit_grads: np.ndarray
+) -> LstmProjParams:
+    """Exact truncated-BPTT parameter gradients, in an LstmProjParams
+    container, for the window whose forward built ``cache``.
 
-    ``state_grad_in`` carries gradients arriving at the window's final
-    state from later windows; it defaults to zero (truncation at the
-    boundary). Returns (parameter gradients, gradients with respect to
-    the incoming state).
+    The gradient stops at both ends of the window: none arrives at its
+    final state and none is returned for its incoming state.
     """
     if cache.params_ref is not params:
         raise InvalidStateError("cache was produced by a different parameter object")
@@ -381,29 +367,14 @@ def lstm_backward_batch(
         raise ShapeError(
             f"logit_grads shape {g_logits.shape} should be ({s}, {frames}, {params.output_dim})"
         )
-    if state_grad_in is not None:
-        _check_state(params, state_grad_in, s)
 
     flat_g = np.ascontiguousarray(g_logits.transpose(1, 0, 2)).reshape(frames * s, -1)
     top = cache.layers[-1].r
     w_out_grad = flat_g.T @ top.reshape(frames * s, -1)
     d_seq = (flat_g @ params.w_out).reshape(frames, s, -1)
 
-    layer_grads, grad_cells, grad_proj = [], [], []
+    layer_grads = []
     for li in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[li]
-        if state_grad_in is not None:
-            dc_next, dr_carry = state_grad_in.cells[li], state_grad_in.projected[li]
-        else:
-            dc_next, dr_carry = np.zeros((s, layer.cell_dim)), np.zeros((s, layer.proj_dim))
-        lg, d_seq, dc_in, dr_in = _layer_backward(
-            layer, cache.layers[li], d_seq, dc_next, dr_carry, li > 0
-        )
+        lg, d_seq = _layer_backward(params.layers[li], cache.layers[li], d_seq, li > 0)
         layer_grads.append(lg)
-        grad_cells.append(dc_in)
-        grad_proj.append(dr_in)
-
-    for out in (layer_grads, grad_cells, grad_proj):
-        out.reverse()
-    grads = LstmProjParams(layer_grads, w_out_grad, flat_g.sum(axis=0))
-    return grads, RecurrentState(grad_cells, grad_proj)
+    return LstmProjParams(layer_grads[::-1], w_out_grad, flat_g.sum(axis=0))

@@ -350,13 +350,15 @@ class TrainingAborted(NumericOverflowError):
 
 
 def _forward_training(params, batch: Batch, state):
+    """(logits, state out, cache) for one batch; an LSTM starts from a
+    zero state when ``state`` is None."""
     if _is_lstm(params):
-        if state is not None:
-            for c, r in zip(state.cells, state.projected):
-                c[batch.resets] = 0.0
-                r[batch.resets] = 0.0
-        logits, state_out, cache = lstm_forward_batch(params, batch.features, state)
-        return logits, state_out, cache
+        if state is None:
+            state = zeros_state(params, len(batch.resets))
+        for c, r in zip(state.cells, state.projected):
+            c[batch.resets] = 0.0
+            r[batch.resets] = 0.0
+        return lstm_forward_batch(params, batch.features, state)
     s, f, d = batch.features.shape
     hidden = []
     logits = ff_forward(params, batch.features.reshape(s * f, d), hidden).reshape(s, f, -1)
@@ -365,13 +367,11 @@ def _forward_training(params, batch: Batch, state):
 
 def _backward_training(params, batch: Batch, cache, logit_grads: np.ndarray):
     if _is_lstm(params):
-        grads, _ = lstm_backward_batch(params, cache, logit_grads)
-        return grads
+        return lstm_backward_batch(params, cache, logit_grads)
     s, f, d = batch.features.shape
-    grads, _ = ff_backward(
+    return ff_backward(
         params, batch.features.reshape(s * f, d), logit_grads.reshape(s * f, -1), cache
     )
-    return grads
 
 
 def _train_epoch(
@@ -384,7 +384,7 @@ def _train_epoch(
     shuffle_rng: np.random.Generator,
 ):
     order = shuffle_rng.permutation(len(train_set.utterances))
-    state = zeros_state(params, schedule.streams) if _is_lstm(params) else None
+    state = None
     k = train_set.num_classes
     loss_sum = 0.0
     n_frames = 0

@@ -172,6 +172,17 @@ def test_unknown_config_key_exits_2(done, tmp_path):
     assert run(config, tmp_path / "out", "generate-data") == 2
 
 
+def test_negative_seed_exits_2_before_out_exists(done, tmp_path, capsys):
+    """The rule experiment.seeds gets at load, with or without data."""
+    config, out = done
+    fresh = tmp_path / "out"
+    capsys.readouterr()
+    for where in (out, fresh):
+        assert run(config, where, "--seed", "-1", "train-teacher") == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --seed must be at least 0, got -1"]
+    assert not fresh.exists()
+
+
 def test_config_digest_mismatch_on_out_exits_2(done, tmp_path):
     config = write_config(tmp_path / "other.yaml", experiment={"seeds": [4]})
     assert run(config, done[1], "report") == 2

@@ -17,6 +17,12 @@ from kdtrain.distill import SoftTargetSet
 from kdtrain.errors import InvalidArgumentError, ShapeError
 
 
+def utterance_slice(ds, index):
+    """The rows of utterance ``index`` on the flat frame axis."""
+    u = ds.utterances[index]
+    return slice(u.offset, u.offset + u.count)
+
+
 class TestFrameDataset:
     def test_partition_must_be_exact(self):
         feats = np.zeros((10, 2))
@@ -38,7 +44,7 @@ class TestFrameDataset:
             np.zeros(5, dtype=int),
             2,
         )
-        assert ds.utterance_slice(1) == slice(3, 5)
+        assert utterance_slice(ds, 1) == slice(3, 5)
         assert ds.total_frames == 5
         assert ds.feature_dim == 2
 
@@ -136,7 +142,7 @@ class TestGenerateSynth:
         s = generate_synth(small_spec(self_loop=1.0), 11)
         for ds in (s.train, s.cv, s.test):
             for i in range(len(ds.utterances)):
-                labels = ds.labels[ds.utterance_slice(i)]
+                labels = ds.labels[utterance_slice(ds, i)]
                 assert np.all(labels == labels[0])
 
     def test_disjoint_utterance_ids(self):
@@ -154,7 +160,7 @@ class TestGenerateSynth:
         k = spec.num_classes
         counts = np.zeros((k, k))
         for i in range(len(ds.utterances)):
-            labels = ds.labels[ds.utterance_slice(i)]
+            labels = ds.labels[utterance_slice(ds, i)]
             np.add.at(counts, (labels[:-1], labels[1:]), 1.0)
         empirical = counts / counts.sum(axis=1, keepdims=True)
         off = (1.0 - spec.self_loop) / (k - 1)
@@ -184,7 +190,7 @@ class TestGenerateSynth:
         centroids = spec_rng.normal(0.0, 1.0, size=(4, 3))
         checked = 0
         for i in range(len(ds.utterances)):
-            sl = ds.utterance_slice(i)
+            sl = utterance_slice(ds, i)
             labels = ds.labels[sl]
             feats = ds.features[sl]
             changes = np.flatnonzero(labels[1:] != labels[:-1]) + 1
@@ -207,7 +213,7 @@ class TestGenerateSynth:
         def mean_step(ds):
             deltas = []
             for i in range(len(ds.utterances)):
-                f = ds.features[ds.utterance_slice(i)]
+                f = ds.features[utterance_slice(ds, i)]
                 deltas.append(np.mean(np.sum(np.diff(f, axis=0) ** 2, axis=1)))
             return np.mean(deltas)
 

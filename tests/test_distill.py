@@ -23,7 +23,8 @@ from kdtrain.distill import (
 from kdtrain.errors import InvalidArgumentError, ShapeError
 from kdtrain.feedforward import FeedForwardParams, ff_forward, init_feedforward
 from kdtrain.formats import checkpoint_digest
-from kdtrain.numeric import finite_diff_check, softmax_rows
+from kdtrain.numeric import softmax_rows
+from param_vectors import finite_diff_check
 
 # T^2-scaled soft gradient and loss for z=[.5,-.2,-.3], v=[1,0,-1]
 # (teacher posteriors taken at the same T), from 50-digit evaluation

@@ -1,11 +1,12 @@
 """Projection-LSTM verification.
 
-Forward is checked against an independently coded per-frame recurrence
-and against hand-forced gate configurations; backward is checked with
-central finite differences over every parameter and with the
-window-splitting identity (threading state gradients across a split
-must reproduce the unsplit gradients). A single stream is a batch of
-S = 1: windows are (1, F, D) and logits (1, F, K).
+Forward is checked against an independently coded per-frame recurrence,
+against hand-forced gate configurations and with the window-splitting
+identity (carrying the state across a split must reproduce the unsplit
+logits bit for bit); backward is checked with central finite
+differences over every parameter and against a per-frame oracle. A
+single stream is a batch of S = 1: windows are (1, F, D) and logits
+(1, F, K).
 """
 
 import numpy as np
@@ -21,8 +22,7 @@ from kdtrain.lstm import (
     lstm_forward_batch,
     zeros_state,
 )
-from kdtrain.numeric import finite_diff_check
-from param_vectors import add_scaled, pack, unpack_into
+from param_vectors import finite_diff_check, pack, unpack_into
 
 
 def naive_single_layer(params, window):
@@ -48,20 +48,19 @@ def naive_single_layer(params, window):
     return np.array(logits)
 
 
-def per_frame_oracle_grads(params, windows, logit_grads):
-    """Truncated-BPTT gradients from a zero state over an (S, F, D)
-    window, as the plain per-frame recurrence: stream-major activations
-    and one rank-S update of every weight gradient per frame. Returns
-    (parameter gradients, [(d cell state, d projected state)] per layer)."""
+def per_frame_oracle_grads(params, windows, logit_grads, state):
+    """Truncated-BPTT gradients over an (S, F, D) window whose forward
+    starts from ``state``, as the plain per-frame recurrence:
+    stream-major activations and one rank-S update of every weight
+    gradient per frame."""
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     s, frames, _ = windows.shape
     seq, layer_acts = windows, []
-    for layer in params.layers:
+    for layer, c, r in zip(params.layers, state.cells, state.projected):
         c_dim = layer.cell_dim
-        c, r = np.zeros((s, c_dim)), np.zeros((s, layer.proj_dim))
         acts = []
         for t in range(frames):
             a = seq[:, t] @ layer.w_x.T + r @ layer.w_r.T + layer.bias
@@ -81,7 +80,6 @@ def per_frame_oracle_grads(params, windows, logit_grads):
         grads.w_out += logit_grads[:, t].T @ seq[:, t]
         grads.b_out += logit_grads[:, t].sum(axis=0)
     d_seq = logit_grads @ params.w_out
-    state_grads = []
     for layer, acts, lg in zip(params.layers[::-1], layer_acts[::-1], grads.layers[::-1]):
         dc_next, dr_carry = np.zeros((s, layer.cell_dim)), np.zeros((s, layer.proj_dim))
         dx = np.zeros((s, frames, layer.input_dim))
@@ -102,9 +100,8 @@ def per_frame_oracle_grads(params, windows, logit_grads):
             dx[:, t] = da @ layer.w_x
             dr_carry = da @ layer.w_r
             dc_next = dc * f
-        state_grads.append((dc_next, dr_carry))
         d_seq = dx
-    return grads, state_grads[::-1]
+    return grads
 
 
 def assert_split_anywhere_is_bit_identical(p, windows):
@@ -234,10 +231,8 @@ class TestBackward:
         p = small_lstm(15)
         w = np.random.default_rng(16).normal(size=(1, 5, 3))
         _, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
-        grads, state_grad = lstm_backward_batch(p, cache, np.zeros((1, 5, 3)))
+        grads = lstm_backward_batch(p, cache, np.zeros((1, 5, 3)))
         for a in grads.arrays():
-            np.testing.assert_array_equal(a, np.zeros_like(a))
-        for a in state_grad.cells + state_grad.projected:
             np.testing.assert_array_equal(a, np.zeros_like(a))
 
     def test_all_parameters_pass_finite_differences(self):
@@ -270,7 +265,7 @@ class TestBackward:
 
         logits, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
         _, grad_rows, _ = batch_soft_loss(logits[0], targets, 1.0, False)
-        grads, _ = lstm_backward_batch(p, cache, grad_rows[np.newaxis] / len(labels))
+        grads = lstm_backward_batch(p, cache, grad_rows[np.newaxis] / len(labels))
         err = finite_diff_check(loss, pack(p.arrays()), pack(grads.arrays()), step=step)
         assert err < 1e-4, f"seed {seed}: {err}"
 
@@ -280,33 +275,8 @@ class TestBackward:
         p = small_lstm(17)
         w = np.random.default_rng(18).normal(size=(1, 5, 3)) + 1.0
         logits, _, cache = lstm_forward_batch(p, w, zeros_state(p, 1))
-        grads, _ = lstm_backward_batch(p, cache, np.ones_like(logits))
+        grads = lstm_backward_batch(p, cache, np.ones_like(logits))
         assert np.abs(grads.layers[0].w_p).max() > 0
-
-    def test_state_gradient_threading_reproduces_unsplit_gradients(self):
-        """Backward over two half-windows, threading state gradients at
-        the cut, equals backward over the full window."""
-        p = small_lstm(19, layers=2, cells=4, projection=2)
-        rng = np.random.default_rng(20)
-        w = rng.normal(size=(1, 6, 3))
-        g = rng.normal(size=(1, 6, 3))
-
-        _, _, cache_full = lstm_forward_batch(p, w, zeros_state(p, 1))
-        grads_full, sg_full = lstm_backward_batch(p, cache_full, g)
-
-        _, s1, cache_a = lstm_forward_batch(p, w[:, :3], zeros_state(p, 1))
-        _, _, cache_b = lstm_forward_batch(p, w[:, 3:], s1)
-        grads_b, sg_mid = lstm_backward_batch(p, cache_b, g[:, 3:])
-        grads_a, sg_start = lstm_backward_batch(p, cache_a, g[:, :3], state_grad_in=sg_mid)
-
-        combined = [x.copy() for x in grads_a.arrays()]
-        add_scaled(combined, grads_b.arrays())
-        for got, want in zip(combined, grads_full.arrays()):
-            np.testing.assert_allclose(got, want, atol=1e-12)
-        for got, want in zip(
-            sg_start.cells + sg_start.projected, sg_full.cells + sg_full.projected
-        ):
-            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_matches_per_frame_accumulation_at_benchmark_shape(self):
         """Weight gradients formed after the time loop over the stacked
@@ -316,13 +286,28 @@ class TestBackward:
         w = rng.normal(size=(4, 20, 20))
         g = rng.normal(size=(4, 20, 10))
         _, _, cache = lstm_forward_batch(p, w, zeros_state(p, 4))
-        grads, state_grad = lstm_backward_batch(p, cache, g)
-        want, want_state = per_frame_oracle_grads(p, w, g)
-        for got, exp in zip(grads.arrays(), want.arrays()):
+        grads = lstm_backward_batch(p, cache, g)
+        want = per_frame_oracle_grads(p, w, g, zeros_state(p, 4))
+        for got, exp in zip(grads.arrays(), want.arrays(), strict=True):
             np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
-        for li, (dc, dr) in enumerate(want_state):
-            np.testing.assert_allclose(state_grad.cells[li], dc, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state_grad.projected[li], dr, rtol=0, atol=1e-12)
+
+    def test_matches_per_frame_accumulation_after_a_carried_state(self):
+        """A window whose forward starts from the state a previous window
+        left, as every window but an utterance's first does in training:
+        the incoming state enters the forget-gate and recurrent-weight
+        gradients."""
+        rng = np.random.default_rng(30)
+        p = init_lstm(20, 10, layers=2, cells=64, projection=32, rng=rng, scale=0.2)
+        _, state, _ = lstm_forward_batch(p, rng.normal(size=(4, 7, 20)), zeros_state(p, 4))
+        w = rng.normal(size=(4, 20, 20))
+        g = rng.normal(size=(4, 20, 10))
+        _, _, cache = lstm_forward_batch(p, w, state)
+        grads = lstm_backward_batch(p, cache, g)
+        want = per_frame_oracle_grads(p, w, g, state)
+        zero_start = per_frame_oracle_grads(p, w, g, zeros_state(p, 4))
+        assert np.abs(want.layers[0].w_r - zero_start.layers[0].w_r).max() > 1e-6
+        for got, exp in zip(grads.arrays(), want.arrays(), strict=True):
+            np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
 
     def test_stale_cache_rejected(self):
         p = small_lstm(21)

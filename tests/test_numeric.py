@@ -15,7 +15,8 @@ import pytest
 
 from kdtrain.distill import DistillLossSpec, batch_soft_loss, frame_objective
 from kdtrain.errors import InvalidArgumentError, NumericOverflowError, ShapeError
-from kdtrain.numeric import finite_diff_check, softmax_rows
+from kdtrain.numeric import softmax_rows
+from param_vectors import finite_diff_check
 
 # softmax([2, 1, 0]) at T = 1 and T = 2, 17 significant digits
 SOFTMAX_210_T1 = [0.66524095577482189, 0.24472847105479765, 0.090030573170380458]

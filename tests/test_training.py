@@ -14,7 +14,7 @@ from kdtrain import training
 from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import DistillLossSpec, SoftTargetSet, export_soft_targets, one_hot_rows
 from kdtrain.errors import AlignmentError, InvalidArgumentError
-from kdtrain.feedforward import init_feedforward
+from kdtrain.feedforward import ff_forward, init_feedforward
 from kdtrain.formats import read_soft_targets, write_soft_targets
 from kdtrain.lstm import init_lstm, lstm_forward_batch, zeros_state
 from kdtrain.training import (
@@ -94,33 +94,32 @@ def test_soft_targets_at_another_temperature_rejected(task):
 
 
 def test_teacher_training_bit_equals_training_that_recomputes_activations(task, monkeypatch):
-    """ff_backward on the forward's kept activations and ff_backward
-    recomputing them train the same teacher, bit for bit."""
+    """ff_backward on the activations the training forward kept and
+    ff_backward on activations recomputed through ff_forward train the
+    same teacher, bit for bit."""
     train_set, cv_set, _, _ = task
     teacher = init_feedforward([5, 8, 8, 4], np.random.default_rng(24), scale=0.5)
     schedule = TrainingSchedule(max_epochs=2, improve_threshold=float("-inf"), streams=3,
                                 window=5)
     original = training.ff_backward
-    kept = []
+    recomputed_layers = []
 
     def run(backward):
         monkeypatch.setattr(training, "ff_backward", backward)
         return run_training(DistillLossSpec("hard"), teacher, train_set, cv_set,
                             schedule=schedule, learning_rate=0.05, master_seed=7)
 
-    def keeps(params, features, logit_grads, hidden=None):
-        kept.append(hidden is not None)
-        return original(params, features, logit_grads, hidden)
+    def recomputes(params, features, logit_grads, hidden):
+        fresh = []
+        ff_forward(params, features, fresh)
+        recomputed_layers.append(len(fresh))
+        return original(params, features, logit_grads, fresh)
 
-    def drops(params, features, logit_grads, hidden=None):
-        kept.append(False)
-        return original(params, features, logit_grads)
-
-    with_cache = run(keeps)
-    assert kept and all(kept)
-    recomputed = run(drops)
-    assert len(with_cache[0].epochs) == 2
-    assert_same_run(with_cache, recomputed)
+    kept = run(original)
+    recomputed = run(recomputes)
+    assert recomputed_layers and set(recomputed_layers) == {2}
+    assert len(kept[0].epochs) == 2
+    assert_same_run(kept, recomputed)
 
 
 def frame_indexed_split(counts, num_classes=3):
