@@ -39,6 +39,8 @@ class FeedForwardParams:
     Hidden layers apply sigmoid; the final layer emits raw logits.
     """
 
+    ARCH_TAG = 0  # checkpoint architecture tag
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
@@ -66,6 +68,22 @@ class FeedForwardParams:
     def layer_dims(self) -> list[int]:
         return [self.input_dim] + [w.shape[0] for w in self.weights]
 
+    def shape(self) -> tuple[int, ...]:
+        """Checkpoint header: the layer count, then every layer width."""
+        return (len(self.weights), *self.layer_dims)
+
+    @staticmethod
+    def header_dims(n_layers: int) -> int:
+        """How many integers follow the layer count in ``shape()``."""
+        return n_layers + 1
+
+    @staticmethod
+    def array_shapes(shape):
+        """The shapes of ``arrays()`` for a ``shape()`` header, lazily."""
+        dims = shape[1:]
+        for d_in, d_out in zip(dims[:-1], dims[1:]):
+            yield from [(d_out, d_in), (d_out,)]
+
     def arrays(self) -> list[np.ndarray]:
         """Canonical order: W0, b0, W1, b1, ..."""
         out = []
@@ -74,27 +92,28 @@ class FeedForwardParams:
             out.append(b)
         return out
 
+    @classmethod
+    def from_arrays(cls, arrays: list[np.ndarray]) -> "FeedForwardParams":
+        """The inverse of ``arrays()``; it shares the given buffers."""
+        return cls(list(arrays[0::2]), list(arrays[1::2]))
+
     def copy(self) -> "FeedForwardParams":
-        return FeedForwardParams(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
+        return self.from_arrays([a.copy() for a in self.arrays()])
+
+
+def init_arrays(shapes, rng: np.random.Generator, scale: float) -> list[np.ndarray]:
+    """One array per shape, in order: a matrix drawn uniform in
+    [-scale, scale], a vector (a bias) zero. Drawing in canonical array
+    order makes a model reproducible from the generator state alone."""
+    return [rng.uniform(-scale, scale, size=s) if len(s) == 2 else np.zeros(s) for s in shapes]
 
 
 def init_feedforward(
     layer_dims: list[int], rng: np.random.Generator, scale: float = 0.05
 ) -> FeedForwardParams:
-    """Weights uniform in [-scale, scale], biases zero.
-
-    Draws happen in canonical array order so the result is reproducible
-    from the generator state alone.
-    """
-    if len(layer_dims) < 2:
-        raise ShapeError("need at least input and output dims")
-    weights, biases = [], []
-    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(rng.uniform(-scale, scale, size=(d_out, d_in)))
-        biases.append(np.zeros(d_out))
-    return FeedForwardParams(weights, biases)
+    """Weights uniform in [-scale, scale], biases zero (``init_arrays``)."""
+    shapes = FeedForwardParams.array_shapes((len(layer_dims) - 1, *layer_dims))
+    return FeedForwardParams.from_arrays(init_arrays(shapes, rng, scale))
 
 
 def ff_forward(

@@ -7,8 +7,9 @@ DKDS1  dataset     header {K u32, D u32, utterances u64, frames u64},
                    labels u16 x frames, features f32 x frames x D.
 DKST1  soft set    header {temperature f64, frames u64, K u32,
                    teacher digest 32 bytes}, rows f32 x frames x K.
-DKDM1  checkpoint  arch tag u8 (0 feed-forward, 1 LSTM), integer shape
-                   header, parameters f64 in canonical array order.
+DKDM1  checkpoint  arch tag u8 (the model class's ARCH_TAG: 0 feed-forward,
+                   1 LSTM), the model's shape() as u32s (its layer count
+                   first), parameters f64 in canonical arrays() order.
 
 Run records are plain text: '#'-prefixed header lines followed by one
 whitespace-separated row per epoch. Floats are written with repr so the
@@ -16,6 +17,7 @@ files are byte-stable and parse back exactly.
 """
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,17 +26,14 @@ import numpy as np
 
 from .datasets import FrameDataset, Utterance
 from .distill import REGIMES, SoftTargetSet
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .feedforward import FeedForwardParams
-from .lstm import LstmLayerParams, LstmProjParams
+from .lstm import LstmProjParams
 
 DATASET_MAGIC = b"DKDS1"
 SOFT_MAGIC = b"DKST1"
 MODEL_MAGIC = b"DKDM1"
 FORMAT_VERSION = 1
-
-ARCH_FEEDFORWARD = 0
-ARCH_LSTM = 1
 
 
 class _Reader:
@@ -169,40 +168,18 @@ def read_soft_targets(path) -> SoftTargetSet:
 # DKDM1 model checkpoints
 
 
-def _ff_payload(p: FeedForwardParams) -> bytes:
-    dims = p.layer_dims
-    parts = [struct.pack("<BI", ARCH_FEEDFORWARD, len(p.weights))]
-    parts.append(struct.pack(f"<{len(dims)}I", *dims))
-    for a in p.arrays():
-        parts.append(a.astype("<f8").tobytes())
-    return b"".join(parts)
-
-
-def _lstm_payload(p: LstmProjParams) -> bytes:
-    parts = [
-        struct.pack(
-            "<BIIIII",
-            ARCH_LSTM,
-            len(p.layers),
-            p.input_dim,
-            p.layers[0].cell_dim,
-            p.layers[0].proj_dim,
-            p.output_dim,
-        )
-    ]
-    for a in p.arrays():
-        parts.append(a.astype("<f8").tobytes())
-    return b"".join(parts)
+_MODELS = {cls.ARCH_TAG: cls for cls in (FeedForwardParams, LstmProjParams)}
 
 
 def checkpoint_bytes(params) -> bytes:
-    if isinstance(params, FeedForwardParams):
-        payload = _ff_payload(params)
-    elif isinstance(params, LstmProjParams):
-        payload = _lstm_payload(params)
-    else:
+    cls = _MODELS.get(getattr(params, "ARCH_TAG", None))
+    if cls is not type(params):
         raise FormatError(f"cannot checkpoint object of type {type(params).__name__}")
-    return MODEL_MAGIC + struct.pack("<B", FORMAT_VERSION) + payload
+    shape, arrays = params.shape(), params.arrays()
+    if [a.shape for a in arrays] != list(cls.array_shapes(shape)):
+        raise FormatError(f"{cls.__name__} arrays do not fit its header {shape}")
+    header = struct.pack(f"<BB{len(shape)}I", FORMAT_VERSION, cls.ARCH_TAG, *shape)
+    return b"".join([MODEL_MAGIC, header, *(a.astype("<f8").tobytes() for a in arrays)])
 
 
 def checkpoint_digest(params) -> bytes:
@@ -218,32 +195,18 @@ def write_checkpoint(path, params) -> None:
 def read_checkpoint(path):
     r = _Reader(Path(path).read_bytes(), f"checkpoint {path}")
     _check_header(r, MODEL_MAGIC)
-    (arch,) = r.unpack("B")
-    if arch == ARCH_FEEDFORWARD:
-        (n_layers,) = r.unpack("I")
-        dims = list(r.unpack(f"{n_layers + 1}I"))
-        weights, biases = [], []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            weights.append(r.array("<f8", d_out * d_in).reshape(d_out, d_in))
-            biases.append(r.array("<f8", d_out))
-        r.expect_end()
-        return FeedForwardParams(weights, biases)
-    if arch == ARCH_LSTM:
-        n_layers, d_in, cells, proj, k = r.unpack("IIIII")
-        layers = []
-        cur_in = d_in
-        for _ in range(n_layers):
-            w_x = r.array("<f8", 4 * cells * cur_in).reshape(4 * cells, cur_in)
-            w_r = r.array("<f8", 4 * cells * proj).reshape(4 * cells, proj)
-            bias = r.array("<f8", 4 * cells)
-            w_p = r.array("<f8", proj * cells).reshape(proj, cells)
-            layers.append(LstmLayerParams(w_x, w_r, bias, w_p))
-            cur_in = proj
-        w_out = r.array("<f8", k * proj).reshape(k, proj)
-        b_out = r.array("<f8", k)
-        r.expect_end()
-        return LstmProjParams(layers, w_out, b_out)
-    raise FormatError(f"{r.what}: unknown architecture tag {arch}", offset=6)
+    (tag,) = r.unpack("B")
+    if tag not in _MODELS:
+        raise FormatError(f"{r.what}: unknown architecture tag {tag}", offset=6)
+    cls = _MODELS[tag]
+    (n_layers,) = r.unpack("I")
+    shape = (n_layers, *r.unpack(f"{cls.header_dims(n_layers)}I"))
+    arrays = [r.array("<f8", math.prod(s)).reshape(s) for s in cls.array_shapes(shape)]
+    r.expect_end()
+    try:
+        return cls.from_arrays(arrays)
+    except ShapeError as exc:
+        raise FormatError(f"{r.what}: inconsistent header {shape}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

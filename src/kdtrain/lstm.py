@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidStateError, ShapeError
-from .feedforward import sigmoid
+from .feedforward import init_arrays, sigmoid
 from .numeric import require_finite
 
 DEFAULT_LAYERS = 1
@@ -92,6 +92,8 @@ class LstmLayerParams:
 class LstmProjParams:
     """Stacked projection-LSTM layers plus the linear logit head."""
 
+    ARCH_TAG = 1  # checkpoint architecture tag
+
     layers: list[LstmLayerParams]
     w_out: np.ndarray  # (K, P)
     b_out: np.ndarray  # (K,)
@@ -118,6 +120,27 @@ class LstmProjParams:
     def output_dim(self) -> int:
         return self.w_out.shape[0]
 
+    def shape(self) -> tuple[int, ...]:
+        """Checkpoint header: layer count, input dim D, cells C,
+        projection P and classes K; every layer has the first's C and P."""
+        first = self.layers[0]
+        return (len(self.layers), self.input_dim, first.cell_dim, first.proj_dim, self.output_dim)
+
+    @staticmethod
+    def header_dims(n_layers: int) -> int:
+        """How many integers follow the layer count in ``shape()``."""
+        return 4
+
+    @staticmethod
+    def array_shapes(shape):
+        """The shapes of ``arrays()`` for a ``shape()`` header, lazily, so
+        a reader stops at the first array a short file lacks however
+        many layers its header claims."""
+        n_layers, d_in, c, p, k = shape
+        for i in range(n_layers):
+            yield from [(4 * c, d_in if i == 0 else p), (4 * c, p), (4 * c,), (p, c)]
+        yield from [(k, p), (k,)]
+
     def arrays(self) -> list[np.ndarray]:
         """Canonical order: per layer w_x, w_r, bias, w_p; then head."""
         out = []
@@ -126,15 +149,15 @@ class LstmProjParams:
         out.extend([self.w_out, self.b_out])
         return out
 
+    @classmethod
+    def from_arrays(cls, arrays: list[np.ndarray]) -> "LstmProjParams":
+        """The inverse of ``arrays()``; it shares the given buffers."""
+        *body, w_out, b_out = arrays
+        return cls([LstmLayerParams(*body[i : i + 4]) for i in range(0, len(body), 4)],
+                   w_out, b_out)
+
     def copy(self) -> "LstmProjParams":
-        return LstmProjParams(
-            [
-                LstmLayerParams(l.w_x.copy(), l.w_r.copy(), l.bias.copy(), l.w_p.copy())
-                for l in self.layers
-            ],
-            self.w_out.copy(),
-            self.b_out.copy(),
-        )
+        return self.from_arrays([a.copy() for a in self.arrays()])
 
 
 def init_lstm(
@@ -145,26 +168,15 @@ def init_lstm(
     projection: int = DEFAULT_PROJECTION,
     rng: np.random.Generator | None = None,
     scale: float = 0.05,
-    forget_bias: float = 1.0,
 ) -> LstmProjParams:
-    """Weights uniform in [-scale, scale]; biases zero except the forget
-    gate, which starts at ``forget_bias`` to keep early gradients alive.
-
-    Draws happen in canonical array order.
-    """
-    rng = rng or np.random.default_rng()
-    layer_list = []
-    d_in = input_dim
-    for _ in range(layers):
-        w_x = rng.uniform(-scale, scale, size=(4 * cells, d_in))
-        w_r = rng.uniform(-scale, scale, size=(4 * cells, projection))
-        bias = np.zeros(4 * cells)
-        bias[cells : 2 * cells] = forget_bias
-        w_p = rng.uniform(-scale, scale, size=(projection, cells))
-        layer_list.append(LstmLayerParams(w_x, w_r, bias, w_p))
-        d_in = projection
-    w_out = rng.uniform(-scale, scale, size=(num_classes, projection))
-    return LstmProjParams(layer_list, w_out, np.zeros(num_classes))
+    """Weights uniform in [-scale, scale] and biases zero (``init_arrays``),
+    except the forget gate's bias, which starts at 1 to keep early
+    gradients alive."""
+    shapes = LstmProjParams.array_shapes((layers, input_dim, cells, projection, num_classes))
+    params = LstmProjParams.from_arrays(init_arrays(shapes, rng or np.random.default_rng(), scale))
+    for layer in params.layers:
+        layer.bias[cells : 2 * cells] = 1.0
+    return params
 
 
 @dataclass
@@ -335,8 +347,9 @@ def _layer_backward(layer: LstmLayerParams, lc: _LayerCache, d_seq: np.ndarray, 
         dc += dc_next
         np.multiply(d_ifg[t], dc[:, np.newaxis], out=da[t, :, :3])
         np.multiply(dm, d_o[t], out=da[t, :, 3])
-        dr_carry = da[t].reshape(s, four_c) @ w_r
-        dc_next = dc * f_t[t]
+        if t:  # frame 0 passes nothing on: the window's incoming state takes no gradient
+            dr_carry = da[t].reshape(s, four_c) @ w_r
+            dc_next = dc * f_t[t]
 
     # weight gradients as one GEMM over the stacked (F * S) frame rows
     da_rows = da.reshape(frames * s, four_c)

@@ -4,6 +4,7 @@ identity on rerun, the Table-1 report, and exit codes 0/1/2/3."""
 import hashlib
 import os
 import shutil
+import struct
 
 import pytest
 import yaml
@@ -162,6 +163,19 @@ def test_export_from_a_student_checkpoint_exits_3(done, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"error: teacher checkpoint {student} does not hold a feed-forward model"]
 
+
+def test_checkpoint_whose_header_disagrees_with_itself_exits_3(done, tmp_path, capsys):
+    """An LSTM header with P = 4 > C = 2 and the full payload it asks for."""
+    config, out = done
+    bad = tmp_path / "bad.dkdm"
+    n_values = 8 * 3 + 8 * 4 + 8 + 4 * 2 + 2 * 4 + 2  # w_x, w_r, bias, w_p, w_out, b_out
+    bad.write_bytes(b"DKDM1" + struct.pack("<BB5I", 1, 1, 1, 3, 2, 4, 2) + bytes(8 * n_values))
+    capsys.readouterr()
+    assert run(config, out, "eval", "--model", str(bad)) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: checkpoint {bad}: inconsistent header (1, 3, 2, 4, 2): "
+        "projection dim 4 exceeds cell dim 2"
+    ]
 
 def test_unknown_regime_exits_2(done):
     assert run(*done, "train-student", "--regime", "kaldi") == 2

@@ -1,6 +1,9 @@
 """Binary artifact formats: bit-exact round trips and precise rejection
 of malformed files."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -201,6 +204,88 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError) as exc:
             read_checkpoint(path)
         assert exc.value.offset is not None
+
+    def test_non_model_object_is_refused(self):
+        with pytest.raises(FormatError, match="cannot checkpoint object of type dict"):
+            checkpoint_bytes({"weights": []})
+
+    def test_lstm_whose_layers_differ_in_width_is_refused(self):
+        """The header holds one C and P for every layer, so a model whose
+        layers differ cannot be written in a form that reads back."""
+        p = init_lstm(5, 4, layers=2, cells=6, projection=3, rng=np.random.default_rng(40))
+        q = init_lstm(3, 4, cells=5, projection=3, rng=np.random.default_rng(40))
+        p.layers[1] = q.layers[0]
+        with pytest.raises(FormatError, match="do not fit its header"):
+            checkpoint_bytes(p)
+
+    @pytest.mark.parametrize(
+        "tag, shape, n_values, message",
+        [
+            # w_x 8x3, w_r 8x4, bias 8, w_p 4x2, w_out 2x4, b_out 2
+            (1, (1, 3, 2, 4, 2), 82, "projection dim 4 exceeds cell dim 2"),
+            (0, (0, 5), 0, "need one (weight, bias) pair per layer"),
+        ],
+        ids=["lstm-projection-wider-than-cells", "feedforward-no-layers"],
+    )
+    def test_header_that_disagrees_with_itself_names_file_and_header(
+        self, tmp_path, tag, shape, n_values, message
+    ):
+        """The full payload the header asks for is present, so only the
+        model's own shape rules can refuse it."""
+        path = tmp_path / "bad.dkdm"
+        path.write_bytes(
+            b"DKDM1" + struct.pack(f"<BB{len(shape)}I", 1, tag, *shape) + bytes(8 * n_values)
+        )
+        with pytest.raises(FormatError) as exc:
+            read_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert f"inconsistent header {shape}: {message}" in str(exc.value)
+
+
+def _init_models():
+    """Four init models at fixed seeds: FF with and without a hidden
+    layer, a 1-layer and a 2-layer LSTM."""
+    return {
+        "ff-5-8-4": init_feedforward([5, 8, 4], np.random.default_rng(41)),
+        "ff-5-4": init_feedforward([5, 4], np.random.default_rng(42)),
+        "lstm-1-layer": init_lstm(5, 4, layers=1, cells=6, projection=3,
+                                  rng=np.random.default_rng(43)),
+        "lstm-2-layer": init_lstm(5, 4, layers=2, cells=6, projection=3,
+                                  rng=np.random.default_rng(44)),
+    }
+
+
+class TestModelLayout:
+    # sha256 of checkpoint_bytes, recorded before init, copy and the
+    # checkpoint writer were rewritten over array_shapes/from_arrays.
+    # Only the generator and byte packing are involved, no BLAS, so they
+    # hold on every platform.
+    PINNED = {
+        "ff-5-8-4": "fa10b5e406f075c431dbcf7ca3ed71f26973d041ec73a674571460980d81050f",
+        "ff-5-4": "5623a0df570226352a74081c0dfb743c049f99c597be65858ffda0595022fae3",
+        "lstm-1-layer": "7ed9bcc3f7d7bb69832e591076a6e4953259abd1250fe966c2c6e3f12296e148",
+        "lstm-2-layer": "96ffd439a40e248e3dbbe6bebf00b400c6270b6d3cf170dd75dabb7ea65025c3",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_init_checkpoint_bytes_are_pinned(self, name):
+        raw = checkpoint_bytes(_init_models()[name])
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_layout_contract(self, name):
+        p = _init_models()[name]
+        arrays = p.arrays()
+        assert [a.shape for a in arrays] == list(p.array_shapes(p.shape()))
+        q = type(p).from_arrays(arrays)
+        assert type(q) is type(p) and q.shape() == p.shape()
+        for a, b in zip(arrays, q.arrays(), strict=True):
+            assert b is a
+        c = p.copy()
+        assert type(c) is type(p)
+        for a, b in zip(arrays, c.arrays(), strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
 
 
 def _record():
