@@ -106,8 +106,8 @@ def _train_cell(cfg: ExperimentConfig, out: Path, splits, stem: str, label: str,
     train, cv, test = splits
     try:
         record, params = run_training(
-            spec, init, train, cv, momentum=cfg.momentum, clip_norm=cfg.clip_norm,
-            master_seed=seed, config_digest=cfg.digest(), log=print, **run_kwargs,
+            spec, init, train, cv, master_seed=seed, config_digest=cfg.digest(), log=print,
+            **run_kwargs,
         )
     except TrainingAborted as exc:
         write_checkpoint(out / f"{stem}.aborted.dkdm", exc.params)
@@ -149,8 +149,7 @@ def cmd_train_teacher(cfg: ExperimentConfig, out: Path, seeds) -> None:
         _train_cell(
             cfg, out, splits, _teacher_stem(seed), f"teacher seed {seed}",
             DistillLossSpec("hard", cfg.alpha), init_feedforward(dims, derive_rng(seed, "init")),
-            seed, schedule=cfg.teacher_schedule,
-            learning_rate=cfg.teacher_learning_rate, model_tag="teacher",
+            seed, schedule=cfg.teacher_schedule, model_tag="teacher",
         )
 
 
@@ -199,8 +198,7 @@ def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, 
     stem = _student_stem(regime, t, seed)
     _train_cell(
         cfg, out, splits, stem, stem, DistillLossSpec(regime, cfg.alpha, t), init, seed,
-        soft_targets=soft, teacher=teacher, schedule=cfg.schedule,
-        learning_rate=cfg.learning_rate, model_tag="student",
+        soft_targets=soft, teacher=teacher, schedule=cfg.schedule, model_tag="student",
     )
 
 

@@ -9,8 +9,10 @@ key takes an int or a whole float (20.0); a float key takes whatever
 ``float()`` parses, such as the string PyYAML makes of 1e-3; a list key
 takes only a list, typed element by element; a bool is never a number.
 The owning constructors (``SynthTaskSpec``, ``TrainingSchedule``,
-``OptimizerState``, ``DistillLossSpec``) then apply their range rules,
-so a bad value is a ConfigError naming its key or rule at load.
+``DistillLossSpec``) then apply their range rules, so a bad value is a
+ConfigError naming its key or rule at load. The train section is one
+``TrainingSchedule``; in the teacher's, a non-null teacher key that
+names a field overrides it.
 
 The SHA-256 digest covers the merged values as written, not as typed
 (``window: 20.0`` and ``window: 20`` differ). It identifies an output
@@ -29,7 +31,7 @@ import yaml
 from .datasets import SynthTaskSpec
 from .distill import DistillLossSpec
 from .errors import ConfigError, InvalidArgumentError
-from .training import OptimizerState, TrainingSchedule
+from .training import TrainingSchedule
 
 DEFAULTS = {
     "task": {
@@ -96,10 +98,10 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-# Keys that may be null: the type of a value, and the key a null falls back to.
-_NULLABLE = {"teacher.learning_rate": (float, "train.learning_rate"),
-             "teacher.max_epochs": (int, "train.max_epochs"),
-             "train.pretrain_switch_epoch": (int, None)}
+# Keys that may be null, and the type of a value. A null teacher key
+# leaves the train section's setting in the teacher's schedule.
+_NULLABLE = {"teacher.learning_rate": float, "teacher.max_epochs": int,
+             "train.pretrain_switch_epoch": int}
 # Lower bounds that no constructor checks at load.
 _MINIMUM = {"task.seed": 0, "teacher.hidden": 1, "student.layers": 1, "student.cells": 1,
             "student.projection": 1, "experiment.seeds": 0}
@@ -128,20 +130,17 @@ def _as(key: str, kind, value, minimum=None):
 
 
 def _typed(values: dict) -> dict:
-    """Every leaf of the merged ``values``, by dotted key, as its type,
-    with the teacher's nulls filled from the train section."""
+    """Every leaf of the merged ``values``, by dotted key, as its type
+    (a null stays None)."""
     out = {}
     for section, defaults in DEFAULTS.items():
         for name, default in defaults.items():
             key, value = f"{section}.{name}", values[section][name]
             if key in _NULLABLE:
-                out[key] = None if value is None else _as(key, _NULLABLE[key][0], value)
+                out[key] = None if value is None else _as(key, _NULLABLE[key], value)
             else:
                 kind = [type(default[0])] if isinstance(default, list) else type(default)
                 out[key] = _as(key, kind, value, _MINIMUM.get(key))
-    for key, (_, fallback) in _NULLABLE.items():
-        if out[key] is None and fallback:
-            out[key] = out[fallback]
     return out
 
 
@@ -163,12 +162,8 @@ class ExperimentConfig:
     data_seed: int
     task: SynthTaskSpec
     teacher_hidden: tuple[int, ...]
-    teacher_learning_rate: float
     teacher_schedule: TrainingSchedule
     student_shape: tuple[int, int, int]
-    learning_rate: float
-    momentum: float
-    clip_norm: float
     schedule: TrainingSchedule
     regimes: tuple[str, ...]
     temperatures: tuple[float, ...]
@@ -197,9 +192,8 @@ def load_config(path: str | None = None) -> ExperimentConfig:
     task = {n: v[f"task.{n}"] for n in DEFAULTS["task"] if n not in ("seed", "classes")}
     schedule = _checked("train schedule", TrainingSchedule,
                         **{f.name: v[f"train.{f.name}"] for f in fields(TrainingSchedule)})
-    for section in ("train", "teacher"):
-        _checked(section, OptimizerState, v[f"{section}.learning_rate"], v["train.momentum"],
-                 v["train.clip_norm"])
+    teacher = {f.name: v[f"teacher.{f.name}"] for f in fields(TrainingSchedule)
+               if v.get(f"teacher.{f.name}") is not None}
     empty = [k for k in ("regimes", "temperatures", "seeds") if not v[f"experiment.{k}"]]
     if empty:
         raise ConfigError(f"experiment key(s) {empty} must not be empty")
@@ -211,12 +205,9 @@ def load_config(path: str | None = None) -> ExperimentConfig:
         data_seed=v["task.seed"],
         task=_checked("task", SynthTaskSpec, num_classes=v["task.classes"], **task),
         teacher_hidden=v["teacher.hidden"],
-        teacher_learning_rate=v["teacher.learning_rate"],
-        teacher_schedule=_checked("teacher schedule", replace, schedule,
-                                  max_epochs=v["teacher.max_epochs"]),
+        teacher_schedule=_checked("teacher schedule", replace, schedule, **teacher),
         student_shape=(v["student.layers"], v["student.cells"], v["student.projection"]),
-        learning_rate=v["train.learning_rate"], momentum=v["train.momentum"],
-        clip_norm=v["train.clip_norm"], schedule=schedule,
+        schedule=schedule,
         regimes=v["experiment.regimes"], temperatures=v["experiment.temperatures"],
         alpha=v["experiment.alpha"], seeds=v["experiment.seeds"],
     )

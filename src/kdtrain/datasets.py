@@ -132,6 +132,9 @@ class SynthTaskSpec:
             raise InvalidArgumentError(f"self_loop must be in [0, 1], got {self.self_loop}")
         if self.blend_frames < 0:
             raise InvalidArgumentError("blend_frames must be >= 0")
+        noise = np.asarray(self.noise_scale, dtype=np.float64)
+        if not (np.isfinite(noise) & (noise >= 0.0)).all():
+            raise InvalidArgumentError(f"noise_scale must be finite and >= 0, got {noise}")
         if not 0.0 <= self.noise_corr < 1.0:
             raise InvalidArgumentError(f"noise_corr must be in [0, 1), got {self.noise_corr}")
         if not 1 <= self.min_frames <= self.max_frames:
@@ -274,23 +277,13 @@ def generate_synth(spec: SynthTaskSpec, seed: int) -> SplitSet:
     appears twice.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    centroids, transitions, noise = _resolve_task(spec, rng)
-    train = _generate_split(
-        spec, spec.train_utterances, 0, centroids, transitions, noise, rng
-    )
-    cv = _generate_split(
-        spec, spec.cv_utterances, spec.train_utterances, centroids, transitions, noise, rng
-    )
-    test = _generate_split(
-        spec,
-        spec.test_utterances,
-        spec.train_utterances + spec.cv_utterances,
-        centroids,
-        transitions,
-        noise,
-        rng,
-    )
-    return SplitSet(train, cv, test)
+    task = _resolve_task(spec, rng)
+    splits = []
+    first_uid = 0
+    for count in (spec.train_utterances, spec.cv_utterances, spec.test_utterances):
+        splits.append(_generate_split(spec, count, first_uid, *task, rng))
+        first_uid += count
+    return SplitSet(*splits)
 
 
 def validate_soft_targets(soft_set, dataset: FrameDataset) -> list[str]:

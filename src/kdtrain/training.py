@@ -57,21 +57,14 @@ def derive_rng(master_seed: int, purpose: str, index: int = 0) -> np.random.Gene
 
 @dataclass
 class OptimizerState:
-    """SGD-with-momentum state; velocity buffers are allocated on first
-    use and always mirror the parameter shapes."""
+    """SGD-with-momentum state of one training phase, built from a
+    TrainingSchedule, which checks its values; velocity buffers are
+    allocated on first use and always mirror the parameter shapes."""
 
-    learning_rate: float = 0.0001
-    momentum: float = 0.9
-    clip_norm: float = 5.0
+    learning_rate: float
+    momentum: float
+    clip_norm: float
     velocity: list[np.ndarray] | None = None
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.clip_norm > 0:
-            raise InvalidArgumentError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 def global_norm(arrays: list[np.ndarray]) -> float:
@@ -317,15 +310,21 @@ def gradient_variance_report(
 
 @dataclass
 class TrainingSchedule:
-    """Stopping and learning-rate policy.
+    """The whole recipe of one training run: SGD with momentum and
+    global-norm clipping, the batching, and the stopping and
+    learning-rate policy. The defaults are the config's train section.
 
-    The learning rate halves whenever CV frame accuracy fails to improve
-    on the best seen so far by at least ``improve_threshold`` points;
-    ``max_halvings`` consecutive failures end the run (or the pretrain
-    phase). ``pretrain_switch_epoch`` forces the soft-to-hard switch
-    after exactly that many epochs instead of waiting for the plateau.
+    Each phase starts at ``learning_rate`` with zero velocity. The rate
+    halves whenever CV frame accuracy fails to improve on the best seen
+    so far by at least ``improve_threshold`` points; ``max_halvings``
+    consecutive failures end the run (or the pretrain phase).
+    ``pretrain_switch_epoch`` forces the soft-to-hard switch after
+    exactly that many epochs instead of waiting for the plateau.
     """
 
+    learning_rate: float = 0.003
+    momentum: float = 0.9
+    clip_norm: float = 5.0
     max_epochs: int = 40
     improve_threshold: float = 0.1
     max_halvings: int = 3
@@ -334,9 +333,20 @@ class TrainingSchedule:
     pretrain_switch_epoch: int | None = None
 
     def __post_init__(self):
-        for name in ("max_epochs", "streams", "window"):
-            if getattr(self, name) < 1:
-                raise InvalidArgumentError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise InvalidArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.clip_norm > 0:
+            raise InvalidArgumentError(f"clip_norm must be positive, got {self.clip_norm}")
+        minimums = {"max_epochs": 1, "max_halvings": 1, "streams": 1, "window": 1,
+                    "pretrain_switch_epoch": 0}
+        for name, minimum in minimums.items():
+            value = getattr(self, name)
+            if value is not None and value < minimum:
+                raise InvalidArgumentError(f"{name} must be at least {minimum}, got {value}")
+        if math.isnan(self.improve_threshold):
+            raise InvalidArgumentError("improve_threshold must not be NaN")
 
 
 class TrainingAborted(NumericOverflowError):
@@ -417,19 +427,16 @@ def run_training(
     init_params,
     train_set: FrameDataset,
     cv_set: FrameDataset,
+    schedule: TrainingSchedule,
     soft_targets: SoftTargetSet | None = None,
     teacher: FeedForwardParams | None = None,
-    schedule: TrainingSchedule | None = None,
-    learning_rate: float = 0.0001,
-    momentum: float = 0.9,
-    clip_norm: float = 5.0,
     master_seed: int = 0,
     config_digest: str = "",
     model_tag: str = "student",
     log=None,
 ):
     """Train ``init_params`` (left untouched; a copy is trained) under
-    the given regime until the stopping rule fires.
+    the given regime and ``schedule`` until the stopping rule fires.
 
     "pretrain" runs a soft-target phase followed by a hard-target phase;
     the optimizer velocity and learning rate reset at the switch, and
@@ -444,7 +451,6 @@ def run_training(
     Returns (RunRecord, trained params). On numeric overflow raises
     TrainingAborted carrying the record and the last epoch's parameters.
     """
-    schedule = schedule or TrainingSchedule()
     params = init_params.copy()
     regime = REGIMES[spec.mode]
     targets = None
@@ -483,7 +489,7 @@ def run_training(
     for phase_spec, forced_epochs in phases:
         if forced_epochs == 0:
             continue
-        opt = OptimizerState(learning_rate, momentum, clip_norm)
+        opt = OptimizerState(schedule.learning_rate, schedule.momentum, schedule.clip_norm)
         best_cv = -np.inf
         consecutive = 0
         reads = REGIMES[phase_spec.mode]

@@ -3,12 +3,15 @@ fallbacks to the train section, the digest, the typing rule, and the
 refusal of every wrong-typed or out-of-range value at load (exit 2, one
 ``error:`` line, no traceback, no output directory)."""
 
+from dataclasses import replace
+
 import pytest
 import yaml
 
 from kdtrain.cli import main
 from kdtrain.config import DEFAULTS, load_config
 from kdtrain.errors import ConfigError
+from kdtrain.training import TrainingSchedule
 
 
 def write_yaml(path, values):
@@ -20,6 +23,7 @@ def test_defaults_validate():
     cfg = load_config(None)
     assert cfg.values == DEFAULTS
     assert cfg.schedule.max_epochs == DEFAULTS["train"]["max_epochs"]
+    assert cfg.schedule == TrainingSchedule()
 
 
 def test_unknown_nested_key_names_its_dotted_path(tmp_path):
@@ -35,13 +39,14 @@ def test_teacher_nulls_fall_back_to_the_train_section(tmp_path):
         tmp_path / "null.yaml",
         {"teacher": {"learning_rate": None, "max_epochs": None}, "train": train},
     ))
-    assert cfg.teacher_learning_rate == 0.02 and cfg.teacher_schedule.max_epochs == 7
+    assert cfg.teacher_schedule == cfg.schedule
+    assert cfg.teacher_schedule.learning_rate == 0.02 and cfg.teacher_schedule.max_epochs == 7
     cfg = load_config(write_yaml(
         tmp_path / "own.yaml",
         {"teacher": {"learning_rate": 0.5, "max_epochs": 3}, "train": train},
     ))
-    assert cfg.teacher_learning_rate == 0.5 and cfg.teacher_schedule.max_epochs == 3
-    assert cfg.learning_rate == 0.02 and cfg.schedule.max_epochs == 7
+    assert cfg.teacher_schedule == replace(cfg.schedule, learning_rate=0.5, max_epochs=3)
+    assert cfg.schedule.learning_rate == 0.02 and cfg.schedule.max_epochs == 7
 
 
 def test_digest_does_not_depend_on_key_order(tmp_path):
@@ -120,11 +125,17 @@ def test_every_key_refuses_a_wrong_type_at_load(tmp_path, capsys, section, name,
     ("task: {seed: -1}", "'task.seed' must be at least 0, got -1"),
     ("teacher: {hidden: 128}", "'teacher.hidden' must be a list, got 128"),
     ("teacher: {hidden: [16, 0]}", "'teacher.hidden[1]' must be at least 1, got 0"),
-    ("teacher: {learning_rate: 0}", "teacher: learning rate must be positive"),
+    ("teacher: {learning_rate: 0}", "teacher schedule: learning rate must be positive"),
     ("student: {cells: 0}", "'student.cells' must be at least 1, got 0"),
-    ("train: {momentum: 1.5}", "train: momentum must be in [0, 1), got 1.5"),
-    ("train: {clip_norm: -5}", "train: clip_norm must be positive, got -5.0"),
-    ("train: {clip_norm: 0}", "train: clip_norm must be positive, got 0.0"),
+    ("train: {momentum: 1.5}", "train schedule: momentum must be in [0, 1), got 1.5"),
+    ("train: {clip_norm: -5}", "train schedule: clip_norm must be positive, got -5.0"),
+    ("train: {clip_norm: 0}", "train schedule: clip_norm must be positive, got 0.0"),
+    ("train: {pretrain_switch_epoch: -3}",
+     "train schedule: pretrain_switch_epoch must be at least 0, got -3"),
+    ("train: {max_halvings: 0}", "train schedule: max_halvings must be at least 1, got 0"),
+    ("train: {improve_threshold: .nan}", "train schedule: improve_threshold must not be NaN"),
+    ("task: {noise_scale: .nan}", "task: noise_scale must be finite and >= 0, got nan"),
+    ("task: {noise_scale: -1}", "task: noise_scale must be finite and >= 0, got -1.0"),
 ])
 def test_bad_setting_exits_2_at_load(tmp_path, capsys, text, match):
     assert_refused_at_load(tmp_path, capsys, text, match)
@@ -133,13 +144,13 @@ def test_bad_setting_exits_2_at_load(tmp_path, capsys, text, match):
 # Loose but valid values load typed, and their digests stay pinned:
 # existing output directories were initialized under these digests.
 @pytest.mark.parametrize("text, typed, digest", [
-    ("train:\n  learning_rate: 1e-3\n", lambda cfg: cfg.learning_rate == 0.001,
+    ("train:\n  learning_rate: 1e-3\n", lambda cfg: cfg.schedule.learning_rate == 0.001,
      "3a0c9f3dc0bef5ea63cf42c863bd9211c07fc12af4a8c054f5cd1416c3b1cc73"),
     ("train:\n  window: 20.0\n", lambda cfg: repr(cfg.schedule.window) == "20",
      "6365b50c5cb3aababb27bb06f3bab99546d5064af14b3e9b4827e10f2eae61f5"),
     ("teacher:\n  hidden: []\n", lambda cfg: cfg.teacher_hidden == (),
      "89992b717b6c0cb19f74f26f6eb3108d02c68af49dc1249ecf23e76cc93b049e"),
-    ("", lambda cfg: cfg.learning_rate == 0.003 and cfg.teacher_hidden == (128, 128),
+    ("", lambda cfg: cfg.schedule.learning_rate == 0.003 and cfg.teacher_hidden == (128, 128),
      "1630c04ff667abc1071dbb3eafe6c628cb5b9c05063ecbfb3b4d8e93c35ee093"),
 ], ids=["string 1e-3", "whole float window", "linear teacher", "empty file"])
 def test_loose_but_valid_values_load_with_unchanged_digests(tmp_path, text, typed, digest):

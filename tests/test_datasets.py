@@ -57,6 +57,9 @@ class TestSynthTaskSpec:
             SynthTaskSpec(feature_dim=0)
         with pytest.raises(InvalidArgumentError):
             SynthTaskSpec(noise_corr=1.0)
+        for noise in (float("inf"), [1.0, -0.5, 1.0], [1.0, float("nan"), 1.0]):
+            with pytest.raises(InvalidArgumentError, match="noise_scale"):
+                SynthTaskSpec(num_classes=3, noise_scale=noise)
 
     def test_transition_rows_must_normalize(self):
         bad = np.full((3, 3), 0.4)

@@ -41,10 +41,11 @@ def task():
 
 def train(task, mode, temperature=1.0, switch=None, **inputs):
     train_set, cv_set, student, _ = task
-    schedule = TrainingSchedule(max_epochs=3, streams=3, window=5, pretrain_switch_epoch=switch)
+    schedule = TrainingSchedule(learning_rate=0.01, max_epochs=3, streams=3, window=5,
+                                pretrain_switch_epoch=switch)
     return run_training(
         DistillLossSpec(mode, 0.5, temperature), student, train_set, cv_set,
-        schedule=schedule, learning_rate=0.01, master_seed=7, **inputs,
+        schedule=schedule, master_seed=7, **inputs,
     )
 
 
@@ -99,15 +100,15 @@ def test_teacher_training_bit_equals_training_that_recomputes_activations(task, 
     same teacher, bit for bit."""
     train_set, cv_set, _, _ = task
     teacher = init_feedforward([5, 8, 8, 4], np.random.default_rng(24), scale=0.5)
-    schedule = TrainingSchedule(max_epochs=2, improve_threshold=float("-inf"), streams=3,
-                                window=5)
+    schedule = TrainingSchedule(learning_rate=0.05, max_epochs=2,
+                                improve_threshold=float("-inf"), streams=3, window=5)
     original = training.ff_backward
     recomputed_layers = []
 
     def run(backward):
         monkeypatch.setattr(training, "ff_backward", backward)
         return run_training(DistillLossSpec("hard"), teacher, train_set, cv_set,
-                            schedule=schedule, learning_rate=0.05, master_seed=7)
+                            schedule=schedule, master_seed=7)
 
     def recomputes(params, features, logit_grads, hidden):
         fresh = []
@@ -184,13 +185,13 @@ def newbob_run(task, monkeypatch, mode="hard", threshold=0.1, max_halvings=2, sw
     monkeypatch.setattr(training, "sgd_momentum_step", recording_step)
     soft = export_soft_targets(teacher, train_set, [2.0])[0]
     schedule = TrainingSchedule(
-        max_epochs=max_epochs, improve_threshold=threshold, max_halvings=max_halvings,
-        streams=3, window=5, pretrain_switch_epoch=switch,
+        learning_rate=0.04, max_epochs=max_epochs, improve_threshold=threshold,
+        max_halvings=max_halvings, streams=3, window=5, pretrain_switch_epoch=switch,
     )
     model = init_feedforward([5, 6, 4], np.random.default_rng(25), scale=0.5)
     record, _ = run_training(
         DistillLossSpec(mode, 0.5, 2.0), model, train_set, cv_set, soft_targets=soft,
-        schedule=schedule, learning_rate=0.04, master_seed=5,
+        schedule=schedule, master_seed=5,
     )
     assert [e.epoch for e in record.epochs] == list(range(1, len(record.epochs) + 1))
     return record, updates
@@ -317,17 +318,24 @@ def test_one_variance_call_equals_one_call_per_target_set(task):
             np.testing.assert_array_equal(getattr(rep, f.name), getattr(alone, f.name))
 
 
-@pytest.mark.parametrize("field", ["max_epochs", "streams", "window"])
-def test_schedule_below_one_rejected(field):
+SCHEDULE_OUT_OF_RANGE = {"max_epochs": 0, "streams": 0, "window": 0, "max_halvings": 0,
+                         "pretrain_switch_epoch": -3, "improve_threshold": float("nan")}
+
+
+@pytest.mark.parametrize("field, value", SCHEDULE_OUT_OF_RANGE.items(),
+                         ids=list(SCHEDULE_OUT_OF_RANGE))
+def test_schedule_below_one_rejected(field, value):
+    """Below one for a count; a negative switch epoch would switch after
+    one epoch, and a NaN threshold would halve every epoch."""
     with pytest.raises(InvalidArgumentError, match=field):
-        TrainingSchedule(**{field: 0})
+        TrainingSchedule(**{field: value})
 
 
 @pytest.mark.parametrize("clip_norm", [0.0, -5.0])
 def test_clip_norm_must_be_positive(clip_norm):
     """A negative clip norm would turn every clipped step into ascent."""
     with pytest.raises(InvalidArgumentError, match="clip_norm"):
-        training.OptimizerState(clip_norm=clip_norm)
+        TrainingSchedule(clip_norm=clip_norm)
 
 
 def misfit_soft_sets(train_set, teacher):
