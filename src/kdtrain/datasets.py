@@ -135,6 +135,8 @@ class SynthTaskSpec:
         noise = np.asarray(self.noise_scale, dtype=np.float64)
         if not (np.isfinite(noise) & (noise >= 0.0)).all():
             raise InvalidArgumentError(f"noise_scale must be finite and >= 0, got {noise}")
+        if noise.ndim and noise.shape != (self.num_classes,):
+            raise ShapeError(f"noise_scale shape {noise.shape} is neither () nor (num_classes,)")
         if not 0.0 <= self.noise_corr < 1.0:
             raise InvalidArgumentError(f"noise_corr must be in [0, 1), got {self.noise_corr}")
         if not 1 <= self.min_frames <= self.max_frames:

@@ -7,6 +7,12 @@ in one buffer, the same values in the same order as
 ``sigmoid(h @ w.T + b)``, so the same bits. The backward takes the
 activations that forward recorded and returns the parameter gradients
 only; the teacher's input is data, so no gradient is formed for it.
+
+A forward that records no activations runs in near-equal row blocks of
+at most ``_BLOCK_ROWS`` rows, so its hidden matrices are block-high, not
+split-high. It never runs a full block plus a short tail: on OpenBLAS a
+block of a few dozen rows rounds rows apart from the one-block product,
+by 1e-15 to 1e-14 (measured).
 """
 
 from dataclasses import dataclass
@@ -15,6 +21,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .numeric import require_finite
+
+_BLOCK_ROWS = 2048  # the most rows a forward without ``hidden`` runs at once
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), evaluated as
@@ -121,24 +129,30 @@ def ff_forward(
 ) -> np.ndarray:
     """Per-frame logits for a (frames x input_dim) feature matrix.
 
-    When ``hidden`` is a list, each hidden layer's (frames x width)
-    output is appended to it, input side first: the activations
-    ``ff_backward`` needs. The features are never written to.
+    When ``hidden`` is a list, the rows run as one block and each hidden
+    layer's (frames x width) output is appended to it, input side first:
+    the activations ``ff_backward`` needs. Otherwise they run in row
+    blocks (see the module docstring). The features are never written to.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeError(
             f"features shape {x.shape} does not match input dim {params.input_dim}"
         )
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.matmul(h, w.T)
-        h += b
-        sigmoid(h, out=h)
-        if hidden is not None:
-            hidden.append(h)
-    logits = np.matmul(h, params.weights[-1].T)
-    logits += params.biases[-1]
+    n = x.shape[0]
+    blocks = 1 if hidden is not None else -(-n // _BLOCK_ROWS)
+    logits = np.empty((n, params.output_dim))
+    for k in range(blocks):
+        rows = slice(k * n // blocks, (k + 1) * n // blocks)
+        h = x[rows]
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            h = np.matmul(h, w.T)
+            h += b
+            sigmoid(h, out=h)
+            if hidden is not None:
+                hidden.append(h)
+        np.matmul(h, params.weights[-1].T, out=logits[rows])
+        logits[rows] += params.biases[-1]
     return require_finite(logits, "feed-forward logits")
 
 

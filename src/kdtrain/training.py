@@ -39,7 +39,10 @@ _SEED_PURPOSES = {"init": 1, "shuffle": 2, "aux": 3}
 # row count S of the GEMMs it runs in, not on its row position or its
 # neighbours, and this rule keeps every utterance in a group of the same
 # S as in manifest-order grouping; so its logits stay bit-identical.
+# A group runs in blocks of _EVAL_BLOCK frames, state carried, so its
+# activations are block-long; the frame-split identity keeps every bit.
 _EVAL_GROUP = 32
+_EVAL_BLOCK = 16
 
 
 def derive_rng(master_seed: int, purpose: str, index: int = 0) -> np.random.Generator:
@@ -191,7 +194,8 @@ def _is_lstm(params) -> bool:
 
 def eval_logits(params, dataset: FrameDataset) -> np.ndarray:
     """Per-frame logits over a whole dataset in manifest order, with
-    recurrent state zeroed at each utterance start."""
+    recurrent state zeroed at each utterance start; an LSTM runs each
+    utterance group in ``_EVAL_BLOCK``-frame blocks (see ``_EVAL_GROUP``)."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
     if not _is_lstm(params):
@@ -206,7 +210,11 @@ def eval_logits(params, dataset: FrameDataset) -> np.ndarray:
         feats = np.zeros((len(group), frames, dataset.feature_dim))
         for s, u in enumerate(group):
             feats[s, : u.count] = dataset.features[u.offset : u.offset + u.count]
-        logits, _, _ = lstm_forward_batch(params, feats, zeros_state(params, len(group)))
+        logits = np.empty((len(group), frames, params.output_dim))
+        state = zeros_state(params, len(group))
+        for lo in range(0, frames, _EVAL_BLOCK):
+            block = slice(lo, lo + _EVAL_BLOCK)
+            logits[:, block], state = lstm_forward_batch(params, feats[:, block], state)[:2]
         for s, u in enumerate(group):
             out[u.offset : u.offset + u.count] = logits[s, : u.count]
     return out

@@ -60,6 +60,9 @@ class TestSynthTaskSpec:
         for noise in (float("inf"), [1.0, -0.5, 1.0], [1.0, float("nan"), 1.0]):
             with pytest.raises(InvalidArgumentError, match="noise_scale"):
                 SynthTaskSpec(num_classes=3, noise_scale=noise)
+        for noise in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(ShapeError, match="noise_scale"):
+                SynthTaskSpec(num_classes=3, noise_scale=noise)
 
     def test_transition_rows_must_normalize(self):
         bad = np.full((3, 3), 0.4)

@@ -1,5 +1,6 @@
 """Feed-forward teacher: forward against a hand-rolled triple-loop
-oracle and, bit for bit, against a chain of allocating expressions;
+oracle and, bit for bit, against a chain of allocating expressions, in
+one block or in row blocks;
 backward against central finite differences and, bit for bit, against
 a chain of allocating expressions that recomputes the activations."""
 
@@ -11,6 +12,7 @@ import pytest
 from kdtrain.distill import batch_soft_loss, one_hot_rows
 from kdtrain.errors import ShapeError
 from kdtrain.feedforward import (
+    _BLOCK_ROWS,
     FeedForwardParams,
     ff_backward,
     ff_forward,
@@ -129,6 +131,24 @@ class TestForward:
             b[:] = rng.normal(size=b.shape)
         x = rng.normal(size=(33, 5))
         np.testing.assert_array_equal(ff_forward(p, x), reference_forward(p, x))
+
+    @pytest.mark.parametrize("rows", [8_092, 16_406, 16_648, _BLOCK_ROWS + 1])
+    def test_row_blocks_bit_equal_one_block(self, rows):
+        """Without ``hidden`` the rows run in near-equal blocks of at most
+        _BLOCK_ROWS, and every logit of the 20-128-128-10 teacher at the
+        desk split sizes equals the one-block reference chain; with
+        ``hidden`` the rows run as one block and record full-height
+        activations."""
+        rng = np.random.default_rng(rows)
+        p = init_feedforward([20, 128, 128, 10], rng, scale=0.3)
+        for b in p.biases:
+            b[:] = rng.normal(size=b.shape)
+        x = rng.normal(size=(rows, 20))
+        want = reference_forward(p, x)
+        np.testing.assert_array_equal(ff_forward(p, x), want)
+        hidden = []
+        np.testing.assert_array_equal(ff_forward(p, x, hidden), want)
+        assert [h.shape for h in hidden] == [(rows, 128), (rows, 128)]
 
     def test_fills_the_hidden_list_with_each_layer_output(self):
         rng = np.random.default_rng(14)

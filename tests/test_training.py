@@ -1,11 +1,12 @@
 """The training loop's documented equivalences between regimes, its
 learning-rate and stopping rule, and its refusal of missing or
 mismatched inputs, at tiny sizes through run_training; stream batching
-against the frame partition; length-ordered evaluation against a
-manifest-order reference; and the gradient-variance report against a
-two-pass oracle."""
+against the frame partition; length-ordered, frame-blocked evaluation
+against unblocked references, and its memory against block-derived
+bounds; and the gradient-variance report against a two-pass oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kdtrain import training
 from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import DistillLossSpec, SoftTargetSet, export_soft_targets, one_hot_rows
 from kdtrain.errors import AlignmentError, InvalidArgumentError
-from kdtrain.feedforward import ff_forward, init_feedforward
+from kdtrain.feedforward import _BLOCK_ROWS, ff_forward, init_feedforward
 from kdtrain.formats import read_soft_targets, write_soft_targets
 from kdtrain.lstm import init_lstm, lstm_forward_batch, zeros_state
 from kdtrain.training import (
@@ -240,11 +241,10 @@ def test_pretrain_switch_resets_velocity_and_learning_rate(task, monkeypatch, sw
     assert len(phases) == 2
 
 
-def manifest_order_logits(params, dataset, group=32):
-    """The reference evaluation: groups of ``group`` utterances taken in
-    manifest order, each padded to its longest member."""
+def grouped_logits(params, dataset, utts, group=32):
+    """Groups of ``group`` utterances taken in the order of ``utts``,
+    each padded to its longest member and run as one unblocked forward."""
     out = np.empty((dataset.total_frames, params.output_dim))
-    utts = dataset.utterances
     for start in range(0, len(utts), group):
         members = utts[start : start + group]
         feats = np.zeros((len(members), max(u.count for u in members), dataset.feature_dim))
@@ -254,6 +254,12 @@ def manifest_order_logits(params, dataset, group=32):
         for s, u in enumerate(members):
             out[u.offset : u.offset + u.count] = logits[s, : u.count]
     return out
+
+
+def manifest_order_logits(params, dataset, group=32):
+    """The reference evaluation: groups of ``group`` utterances taken in
+    manifest order, each padded to its longest member."""
+    return grouped_logits(params, dataset, dataset.utterances, group)
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +286,80 @@ def test_length_ordered_eval_groups_keep_every_logit(ragged_split, layers, cells
     np.testing.assert_array_equal(eval_logits(params, ragged_split), reference)
     expected = 100.0 * float(np.mean(np.argmax(reference, axis=1) == ragged_split.labels))
     assert frame_accuracy(params, ragged_split) == expected
+
+
+@pytest.fixture(scope="module")
+def long_ragged_split():
+    """40 utterances of 2B + 1 to 5B - 1 frames, B = _EVAL_BLOCK: each
+    spans at least 3 frame blocks, and most end in a partial one; one
+    whole group of 32 and a last group of 8."""
+    b = training._EVAL_BLOCK
+    spec = SynthTaskSpec(
+        num_classes=10, feature_dim=20, train_utterances=40, cv_utterances=1,
+        test_utterances=1, min_frames=2 * b + 1, max_frames=5 * b - 1,
+    )
+    split = generate_synth(spec, 33).train
+    counts = [u.count for u in split.utterances]
+    assert min(counts) > 2 * b and max(counts[:32]) % b and max(counts[32:]) % b
+    return split
+
+
+@pytest.mark.parametrize("layers, cells, projection", [(1, 64, 32), (2, 32, 16)])
+def test_frame_blocks_keep_every_logit(long_ragged_split, layers, cells, projection):
+    """Each length-ordered group runs in frame blocks with its state
+    carried, and every logit equals one unblocked forward per group."""
+    params = init_lstm(
+        20, 10, layers=layers, cells=cells, projection=projection,
+        rng=np.random.default_rng(34), scale=0.3,
+    )
+    utts = long_ragged_split.utterances
+    ordered = sorted(utts[:32], key=lambda u: u.count) + utts[32:]
+    reference = grouped_logits(params, long_ragged_split, ordered)
+    np.testing.assert_array_equal(eval_logits(params, long_ragged_split), reference)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes traced while it ran (numpy reports
+    its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_SLACK = 2**17  # bytes of small transients: states, one block's input and logits
+
+
+def test_lstm_eval_memory_is_bounded_by_the_frame_block():
+    """Eval keeps one frame block's activations, (7C + P) * S * B
+    doubles per layer, besides the split's own logits and the group's
+    padded input and logits; not the whole utterance's."""
+    s, frames, d, k, c, p = 4, 600, 20, 10, 64, 32
+    rng = np.random.default_rng(35)
+    split = FrameDataset(
+        [Utterance(i, i * frames, frames) for i in range(s)],
+        rng.normal(size=(s * frames, d)), np.zeros(s * frames, dtype=np.int64), k,
+    )
+    params = init_lstm(d, k, layers=2, cells=c, projection=p, rng=rng, scale=0.3)
+    out, peak = traced_peak(eval_logits, params, split)
+    block = 2 * (7 * c + p) * s * training._EVAL_BLOCK * 8
+    assert peak <= out.nbytes + s * frames * (d + k) * 8 + block + _SLACK
+
+
+def test_teacher_eval_memory_is_bounded_by_the_row_block():
+    """A teacher eval over several row blocks holds two block-high
+    hidden matrices at a time, not two split-high ones."""
+    rows, width = 5 * _BLOCK_ROWS + 77, 128
+    rng = np.random.default_rng(36)
+    split = FrameDataset(
+        [Utterance(0, 0, rows)], rng.normal(size=(rows, 20)),
+        np.zeros(rows, dtype=np.int64), 10,
+    )
+    teacher = init_feedforward([20, width, width, 10], rng, scale=0.3)
+    out, peak = traced_peak(eval_logits, teacher, split)
+    assert peak <= out.nbytes + 2 * _BLOCK_ROWS * width * 8 + _SLACK
 
 
 def two_pass_variance(t, y):
