@@ -34,6 +34,7 @@ from .formats import (
     read_dataset,
     read_run_record,
     read_soft_targets,
+    write_atomic,
     write_checkpoint,
     write_dataset,
     write_run_record,
@@ -81,7 +82,7 @@ def _prepare_out(out: Path, cfg: ExperimentConfig) -> None:
                 f"current config digests to {digest[:12]}...; use a fresh --out"
             )
     else:
-        digest_file.write_text(digest + "\n")
+        write_atomic(digest_file, [f"{digest}\n".encode()])
 
 
 def _load_split(out: Path, name: str):
@@ -137,7 +138,7 @@ def cmd_generate_data(cfg: ExperimentConfig, out: Path) -> None:
     for name in _SPLITS:
         ds = getattr(splits, name)
         write_dataset(out / f"dataset_{name}.dkds", ds)
-        (out / f"manifest_{name}.txt").write_text(export_manifest_text(ds))
+        write_atomic(out / f"manifest_{name}.txt", [export_manifest_text(ds).encode()])
         print(f"wrote dataset_{name}.dkds ({ds.total_frames} frames, "
               f"{len(ds.utterances)} utterances)")
 
@@ -249,7 +250,7 @@ def cmd_variance_report(
     for t, rep in zip(cfg.temperatures, softs):
         lines.append(f"soft {_tfmt(t)} {rep.total!r} {rep.first_term!r}")
     text = "\n".join(lines) + "\n"
-    (out / f"variance_s{seed}.txt").write_text(text)
+    write_atomic(out / f"variance_s{seed}.txt", [text.encode()])
     print(text, end="")
 
 
@@ -282,7 +283,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
             f"{r.model},{r.regime},{r.temperature!r},{r.alpha!r},{r.seed},"
             f"{len(r.epochs)},{last.train_accuracy!r},{last.cv_accuracy!r},{test}"
         )
-    (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
+    write_atomic(out / "report.csv", [("\n".join(csv_lines) + "\n").encode()])
 
     # Table-1-style summary: one row per (model, regime, T), median over seeds.
     groups: dict[tuple, list[RunRecord]] = {}
@@ -315,7 +316,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         for vf in variance_files:
             rows.append(vf.read_text().rstrip())
     table = "\n".join(rows) + "\n"
-    (out / "report.txt").write_text(table)
+    write_atomic(out / "report.txt", [table.encode()])
     print(table, end="")
 
 

@@ -189,10 +189,13 @@ def _blend_means(
     a later write to a frame replaces an earlier one. So the frame right
     at a boundary keeps weight 0.5 + 1/(4*blend) on its own class, and
     weights ramp linearly back to 1 with distance.
+
+    The result is the only frame-sized float array made: each distinct
+    (own, other, k) blend is computed once, and every frame gathers its
+    row from the centroids and those blends.
     """
-    means = centroids[labels]
     if blend == 0:
-        return means
+        return centroids[labels]
     utt = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], labels.size)
@@ -209,9 +212,16 @@ def _blend_means(
     target, own, other, k = target[hit], own[hit], other[hit], k[hit]
     _, from_end = np.unique(target[::-1], return_index=True)
     last = target.size - 1 - from_end  # the write that stays
-    w = (0.5 - (k[last] + 0.5) / (2 * blend))[:, np.newaxis]
-    means[target[last]] = (1.0 - w) * centroids[own[last]] + w * centroids[other[last]]
-    return means
+    n = centroids.shape[0]
+    codes, which = np.unique((own[last] * n + other[last]) * blend + k[last],
+                             return_inverse=True)
+    pairs, dist = np.divmod(codes, blend)
+    a, b = np.divmod(pairs, n)
+    w = (0.5 - (dist + 0.5) / (2 * blend))[:, np.newaxis]
+    vectors = np.concatenate([centroids, (1.0 - w) * centroids[a] + w * centroids[b]])
+    row = labels.copy()
+    row[target[last]] = n + which
+    return vectors[row]
 
 
 def _generate_split(
@@ -235,7 +245,9 @@ def _generate_split(
         cdfs.append(cdf.tolist())
     utterances = []
     label_chunks = []
-    eps_chunks = []
+    # white noise of all utterances on the flat frame axis, drawn in
+    # place; pages past the last frame drawn are never touched
+    eps = np.empty((count * spec.max_frames, spec.feature_dim))
     offset = 0
     for i in range(count):
         length = int(rng.integers(spec.min_frames, spec.max_frames + 1))
@@ -245,30 +257,31 @@ def _generate_split(
             label = bisect_right(cdfs[label], u)
             labels.append(label)
         label_chunks.append(np.array(labels, dtype=np.int64))
-        eps_chunks.append(rng.normal(size=(length, spec.feature_dim)))
+        rng.standard_normal(out=eps[offset : offset + length])
         utterances.append(Utterance(first_uid + i, offset, length))
         offset += length
 
-    # white noise of all utterances, padded to the longest one
+    eps = eps[:offset]
+    starts = np.array([u.offset for u in utterances])
     lengths = np.array([u.count for u in utterances])
-    eps = np.zeros((count, lengths.max(), spec.feature_dim))
-    for u, chunk in enumerate(eps_chunks):
-        eps[u, : len(chunk)] = chunk
     if spec.noise_corr > 0.0:
-        # AR(1) walk with unit marginal variance, reset per utterance
+        # AR(1) walk with unit marginal variance, reset per utterance:
+        # step t moves frame t of every utterance longer than t
         rho = spec.noise_corr
         mix = np.sqrt(1.0 - rho * rho)
-        for t in range(1, eps.shape[1]):
-            eps[:, t] = rho * eps[:, t - 1] + mix * eps[:, t]
-    eps = eps[np.arange(eps.shape[1]) < lengths[:, np.newaxis]]
+        for t in range(1, lengths.max()):
+            rows = starts[lengths > t] + t
+            eps[rows] = rho * eps[rows - 1] + mix * eps[rows]
 
     labels = np.concatenate(label_chunks)
     first = np.zeros(labels.size, dtype=bool)
-    first[[u.offset for u in utterances]] = True
-    means = _blend_means(labels, first, centroids, spec.blend_frames)
-    features = means + noise[labels][:, np.newaxis] * eps
+    first[starts] = True
+    eps *= noise[labels][:, np.newaxis]
+    features = _blend_means(labels, first, centroids, spec.blend_frames)
+    features += eps
+    del eps
     # canonicalize to 32-bit values so disk round trips are bit-exact
-    features = features.astype(np.float32).astype(np.float64)
+    features[...] = features.astype(np.float32)
     return FrameDataset(utterances, features, labels, k)
 
 

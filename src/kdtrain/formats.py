@@ -14,10 +14,22 @@ DKDM1  checkpoint  arch tag u8 (the model class's ARCH_TAG: 0 feed-forward,
 Run records are plain text: '#'-prefixed header lines followed by one
 whitespace-separated row per epoch. Floats are written with repr so the
 files are byte-stable and parse back exactly.
+
+Each binary format has one serializer, which returns the file as a list
+of bytes-like parts: headers as bytes, payloads as little-endian arrays.
+The writers, ``*_bytes`` and ``checkpoint_digest`` all consume those
+parts, so a payload is converted once and never joined on its way to a
+file or a hash. Every writer goes through ``write_atomic``: a temp file
+beside the target, then a rename, so a killed or failing write never
+leaves a partial file under the target's name. Readers decode from a
+memoryview of the file's bytes, so each payload is copied once, by the
+``astype`` that converts it into a new array owning its memory.
 """
 
 import hashlib
 import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,14 +49,16 @@ FORMAT_VERSION = 1
 
 
 class _Reader:
-    """Cursor over a byte buffer that reports offsets on underrun."""
+    """Cursor over a file's bytes that reports offsets on underrun.
+    Slices are views of the bytes, so a payload is copied once: by the
+    ``astype`` that decodes it."""
 
     def __init__(self, data: bytes, what: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(
                 f"{self.what}: truncated, needed {n} more bytes", offset=self.pos
@@ -56,9 +70,11 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        itemsize = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(itemsize * count), dtype=dtype).copy()
+    def array(self, stored: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """The next ``shape`` values, stored as ``stored``, in a new
+        ``dtype`` array that owns its memory."""
+        raw = self.take(np.dtype(stored).itemsize * math.prod(shape))
+        return np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype)
 
     def expect_end(self):
         if self.pos != len(self.data):
@@ -67,8 +83,28 @@ class _Reader:
             )
 
 
+def write_atomic(path, parts) -> None:
+    """Write the bytes-like ``parts``, in order, as the whole content of
+    ``path``: into a new file of a unique name in the same directory,
+    then renamed over ``path``. A reader sees the old file or the whole
+    new one, never a part, even if the writer is killed; a write that
+    raises removes its temp file. The rename is not synced to disk, so
+    a power loss may still lose the new file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _check_header(r: _Reader, magic: bytes):
-    got = r.take(5)
+    got = bytes(r.take(5))
     if got != magic:
         raise FormatError(f"{r.what}: bad magic {got!r}, expected {magic!r}", offset=0)
     (version,) = r.unpack("B")
@@ -80,26 +116,29 @@ def _check_header(r: _Reader, magic: bytes):
 # DKDS1 datasets
 
 
-def dataset_bytes(ds: FrameDataset) -> bytes:
+def _dataset_parts(ds: FrameDataset) -> list:
     if ds.labels.size and ds.labels.max() > 0xFFFF:
         raise FormatError(
             f"label {ds.labels.max()} does not fit the u16 label field of {DATASET_MAGIC.decode()}"
         )
-    parts = [DATASET_MAGIC, struct.pack("<B", FORMAT_VERSION)]
-    parts.append(
-        struct.pack(
-            "<IIQQ", ds.num_classes, ds.feature_dim, len(ds.utterances), ds.total_frames
-        )
+    header = struct.pack(
+        "<BIIQQ", FORMAT_VERSION, ds.num_classes, ds.feature_dim, len(ds.utterances),
+        ds.total_frames,
     )
-    for u in ds.utterances:
-        parts.append(struct.pack("<QQQ", u.uid, u.offset, u.count))
-    parts.append(ds.labels.astype("<u2").tobytes())
-    parts.append(ds.features.astype("<f4").tobytes())
-    return b"".join(parts)
+    manifest = b"".join(struct.pack("<QQQ", u.uid, u.offset, u.count) for u in ds.utterances)
+    return [
+        DATASET_MAGIC, header, manifest,
+        np.ascontiguousarray(ds.labels, dtype="<u2"),
+        np.ascontiguousarray(ds.features, dtype="<f4"),
+    ]
+
+
+def dataset_bytes(ds: FrameDataset) -> bytes:
+    return b"".join(_dataset_parts(ds))
 
 
 def write_dataset(path, ds: FrameDataset) -> None:
-    Path(path).write_bytes(dataset_bytes(ds))
+    write_atomic(path, _dataset_parts(ds))
 
 
 def read_dataset(path) -> FrameDataset:
@@ -113,14 +152,14 @@ def read_dataset(path) -> FrameDataset:
         uid, offset, count = r.unpack("QQQ")
         utterances.append(Utterance(uid, offset, count))
     labels_off = r.pos
-    labels = r.array("<u2", n_frames).astype(np.int64)
+    labels = r.array("<u2", (n_frames,), np.int64)
     bad = np.flatnonzero(labels >= k)
     if bad.size:
         raise FormatError(
             f"{r.what}: label {labels[bad[0]]} >= K={k} at frame index {bad[0]}",
             offset=labels_off + 2 * int(bad[0]),
         )
-    features = r.array("<f4", n_frames * d).astype(np.float64).reshape(n_frames, d)
+    features = r.array("<f4", (n_frames, d), np.float64)
     r.expect_end()
     try:
         return FrameDataset(utterances, features, labels, k)
@@ -137,16 +176,17 @@ def export_manifest_text(ds: FrameDataset) -> str:
 # DKST1 soft-target sets
 
 
+def _soft_targets_parts(s: SoftTargetSet) -> list:
+    header = struct.pack("<BdQI", FORMAT_VERSION, s.temperature, s.frame_count, s.class_count)
+    return [SOFT_MAGIC, header, s.teacher_digest, np.ascontiguousarray(s.rows, dtype="<f4")]
+
+
 def soft_targets_bytes(s: SoftTargetSet) -> bytes:
-    parts = [SOFT_MAGIC, struct.pack("<B", FORMAT_VERSION)]
-    parts.append(struct.pack("<dQI", s.temperature, s.frame_count, s.class_count))
-    parts.append(s.teacher_digest)
-    parts.append(s.rows.astype("<f4").tobytes())
-    return b"".join(parts)
+    return b"".join(_soft_targets_parts(s))
 
 
 def write_soft_targets(path, s: SoftTargetSet) -> None:
-    Path(path).write_bytes(soft_targets_bytes(s))
+    write_atomic(path, _soft_targets_parts(s))
 
 
 def read_soft_targets(path) -> SoftTargetSet:
@@ -158,8 +198,8 @@ def read_soft_targets(path) -> SoftTargetSet:
     temperature, frames, k = r.unpack("dQI")
     if not temperature > 0 or k < 2:
         raise FormatError(f"{r.what}: bad header T={temperature}, K={k}", offset=6)
-    digest = r.take(32)
-    rows = r.array("<f4", frames * k).astype(np.float64).reshape(frames, k)
+    digest = bytes(r.take(32))
+    rows = r.array("<f4", (frames, k), np.float64)
     r.expect_end()
     return SoftTargetSet(temperature, rows, digest)
 
@@ -171,7 +211,7 @@ def read_soft_targets(path) -> SoftTargetSet:
 _MODELS = {cls.ARCH_TAG: cls for cls in (FeedForwardParams, LstmProjParams)}
 
 
-def checkpoint_bytes(params) -> bytes:
+def _checkpoint_parts(params) -> list:
     cls = _MODELS.get(getattr(params, "ARCH_TAG", None))
     if cls is not type(params):
         raise FormatError(f"cannot checkpoint object of type {type(params).__name__}")
@@ -179,17 +219,24 @@ def checkpoint_bytes(params) -> bytes:
     if [a.shape for a in arrays] != list(cls.array_shapes(shape)):
         raise FormatError(f"{cls.__name__} arrays do not fit its header {shape}")
     header = struct.pack(f"<BB{len(shape)}I", FORMAT_VERSION, cls.ARCH_TAG, *shape)
-    return b"".join([MODEL_MAGIC, header, *(a.astype("<f8").tobytes() for a in arrays)])
+    return [MODEL_MAGIC, header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)]
+
+
+def checkpoint_bytes(params) -> bytes:
+    return b"".join(_checkpoint_parts(params))
 
 
 def checkpoint_digest(params) -> bytes:
     """SHA-256 of the serialized checkpoint; the provenance id recorded
     in soft-target files."""
-    return hashlib.sha256(checkpoint_bytes(params)).digest()
+    h = hashlib.sha256()
+    for part in _checkpoint_parts(params):
+        h.update(part)
+    return h.digest()
 
 
 def write_checkpoint(path, params) -> None:
-    Path(path).write_bytes(checkpoint_bytes(params))
+    write_atomic(path, _checkpoint_parts(params))
 
 
 def read_checkpoint(path):
@@ -201,7 +248,7 @@ def read_checkpoint(path):
     cls = _MODELS[tag]
     (n_layers,) = r.unpack("I")
     shape = (n_layers, *r.unpack(f"{cls.header_dims(n_layers)}I"))
-    arrays = [r.array("<f8", math.prod(s)).reshape(s) for s in cls.array_shapes(shape)]
+    arrays = [r.array("<f8", s, np.float64) for s in cls.array_shapes(shape)]
     r.expect_end()
     try:
         return cls.from_arrays(arrays)
@@ -270,7 +317,7 @@ def run_record_text(rec: RunRecord) -> str:
 
 
 def write_run_record(path, rec: RunRecord) -> None:
-    Path(path).write_text(run_record_text(rec))
+    write_atomic(path, [run_record_text(rec).encode()])
 
 
 def read_run_record(path) -> RunRecord:

@@ -9,7 +9,7 @@ import struct
 import pytest
 import yaml
 
-from kdtrain import training
+from kdtrain import cli, formats, training
 from kdtrain.cli import main
 from kdtrain.distill import REGIMES, SoftTargetSet, export_soft_targets
 from kdtrain.formats import (
@@ -85,6 +85,24 @@ def test_rerun_into_fresh_directory_is_byte_identical(done, tmp_path):
     first = digests(out)
     assert len(first) == 19  # 3 datasets, 1 soft set, 6 models and records, 3 reports
     assert digests(tmp_path / "again") == first
+
+
+def test_every_file_under_out_is_written_atomically(tmp_path, monkeypatch):
+    """Every file the pipeline leaves under --out was written by
+    ``write_atomic`` (temp file, then rename), and no temp file is left."""
+    written = []
+
+    def recording(path, parts, _write=formats.write_atomic):
+        written.append(path.name)
+        _write(path, parts)
+
+    monkeypatch.setattr(formats, "write_atomic", recording)
+    monkeypatch.setattr(cli, "write_atomic", recording)
+    config = write_config(tmp_path / "tiny.yaml")
+    out = tmp_path / "out"
+    run_pipeline(config, out)
+    assert sorted(written) == sorted(p.name for p in out.iterdir())
+    assert len(written) == 23  # the 19 byte-stable files, config.digest and 3 manifests
 
 
 def test_report_has_one_row_per_regime(done):

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from test_training import traced_peak
 
 from kdtrain.datasets import (
     FrameDataset,
@@ -211,6 +212,16 @@ class TestGenerateSynth:
                 ):
                     checked += 1
         assert checked > 10
+
+    def test_generation_holds_each_split_once(self):
+        """The traced peak is at most 3x the largest split's float64
+        features: its noise buffer (room for count x max_frames frames,
+        1.45x the frames drawn at these lengths), the features the noise
+        is added to, the smaller splits and index arrays. No padded or
+        chunked copy of the noise and no full-size temporary."""
+        spec = SynthTaskSpec(train_utterances=400, cv_utterances=20, test_utterances=20)
+        splits, peak = traced_peak(generate_synth, spec, 5)
+        assert peak <= 3 * splits.train.features.nbytes
 
     def test_noise_corr_makes_consecutive_noise_similar(self):
         flat = generate_synth(small_spec(noise_corr=0.0, blend_frames=0), 21)

@@ -6,7 +6,9 @@ import struct
 
 import numpy as np
 import pytest
+from test_training import traced_peak
 
+from kdtrain import formats
 from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import SoftTargetSet, export_soft_targets
 from kdtrain.errors import FormatError
@@ -24,6 +26,7 @@ from kdtrain.formats import (
     read_soft_targets,
     run_record_text,
     soft_targets_bytes,
+    write_atomic,
     write_checkpoint,
     write_dataset,
     write_run_record,
@@ -286,6 +289,105 @@ class TestModelLayout:
         for a, b in zip(arrays, c.arrays(), strict=True):
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(a, b)
+
+
+class TestStreamedWriters:
+    """Each writer streams its serializer's parts to the file without
+    joining them; the files are pinned to the bytes the joined
+    serializer wrote. The checkpoint pins are TestModelLayout's."""
+
+    DATASET = "d531c2c35ddc07ed823b0a109649d1ccb68a7ca5155b30d4e30bb3ff4c268d63"
+    SOFT = "5b195adb1dd8418b9bde1fc9ca31da80d1d3723ac384e53da5fd2985c175b7b0"
+
+    def test_dataset_file_is_pinned(self, dataset, tmp_path):
+        write_dataset(tmp_path / "d.dkds", dataset)
+        assert hashlib.sha256((tmp_path / "d.dkds").read_bytes()).hexdigest() == self.DATASET
+
+    def test_soft_targets_file_is_pinned(self, tmp_path):
+        rows = np.random.default_rng(45).random((37, 5))
+        write_soft_targets(tmp_path / "s.dkst", SoftTargetSet(2.5, rows, bytes(range(32))))
+        assert hashlib.sha256((tmp_path / "s.dkst").read_bytes()).hexdigest() == self.SOFT
+
+    @pytest.mark.parametrize("name", sorted(TestModelLayout.PINNED))
+    def test_checkpoint_file_and_digest_are_pinned(self, tmp_path, name):
+        params = _init_models()[name]
+        write_checkpoint(tmp_path / "m.dkdm", params)
+        want = TestModelLayout.PINNED[name]
+        assert hashlib.sha256((tmp_path / "m.dkdm").read_bytes()).hexdigest() == want
+        assert checkpoint_digest(params).hex() == want
+
+
+class TestAtomicWrites:
+    def test_a_write_that_raises_midway_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_atomic(path, [b"earlier"])
+
+        def parts():
+            yield b"DKDS1"
+            # the write is under way, in a temp file beside the target
+            assert len(list(tmp_path.iterdir())) == 2
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, parts())
+        assert path.read_bytes() == b"earlier"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_writer_that_fails_midway_keeps_the_earlier_file(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "d.dkds"
+        write_dataset(path, dataset)
+        before = path.read_bytes()
+        header, *payload = formats._dataset_parts(dataset)
+        # a part that is not bytes-like fails the write after the header
+        monkeypatch.setattr(formats, "_dataset_parts", lambda ds: [header, None, *payload])
+        with pytest.raises(TypeError):
+            write_dataset(path, dataset)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestZeroCopyReads:
+    """Readers decode from views of the file's bytes with one ``astype``
+    each, so every returned array is a fresh, writable array that owns
+    its memory: nothing keeps the file's bytes alive."""
+
+    @staticmethod
+    def _assert_owned(*arrays):
+        for a in arrays:
+            assert a.flags.writeable and a.flags.owndata and a.base is None
+
+    def test_dataset_arrays_own_their_memory(self, dataset, tmp_path):
+        write_dataset(tmp_path / "d.dkds", dataset)
+        loaded = read_dataset(tmp_path / "d.dkds")
+        self._assert_owned(loaded.features, loaded.labels)
+
+    def test_soft_target_rows_own_their_memory(self, tmp_path):
+        write_soft_targets(tmp_path / "s.dkst", SoftTargetSet(1.0, np.full((9, 3), 1 / 3)))
+        loaded = read_soft_targets(tmp_path / "s.dkst")
+        self._assert_owned(loaded.rows)
+        assert type(loaded.teacher_digest) is bytes
+
+    @pytest.mark.parametrize("name", ["ff-5-8-4", "lstm-2-layer"])
+    def test_checkpoint_arrays_own_their_memory(self, tmp_path, name):
+        write_checkpoint(tmp_path / "m.dkdm", _init_models()[name])
+        self._assert_owned(*read_checkpoint(tmp_path / "m.dkdm").arrays())
+
+    def test_read_peak_is_the_file_and_the_result(self, tmp_path):
+        """Besides the file's bytes and the arrays returned, a read holds
+        only small transients: no second copy of any payload."""
+        frames, dim = 20_000, 20
+        rng = np.random.default_rng(46)
+        ds = FrameDataset(
+            [Utterance(0, 0, 8_000), Utterance(1, 8_000, 12_000)],
+            rng.normal(size=(frames, dim)).astype(np.float32), rng.integers(0, 10, frames), 10,
+        )
+        path = tmp_path / "big.dkds"
+        write_dataset(path, ds)
+        loaded, peak = traced_peak(read_dataset, path)
+        result = loaded.features.nbytes + loaded.labels.nbytes
+        assert peak <= path.stat().st_size + result + 2**16
 
 
 def _record():
