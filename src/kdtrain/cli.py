@@ -13,6 +13,8 @@ import argparse
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
@@ -187,8 +189,8 @@ def _read_soft(out: Path, t: float, seed: int):
     return read_soft_targets(path)
 
 
-def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, seed: int):
-    splits = [_load_split(out, name) for name in _SPLITS]
+def _train_one_student(cfg: ExperimentConfig, out: Path, splits, cell) -> None:
+    regime, t, seed = cell
     init = _init_student(cfg, splits[0], seed)
     soft = None
     teacher = None
@@ -205,18 +207,11 @@ def _train_one_student(cfg: ExperimentConfig, out: Path, regime: str, t: float, 
 
 def cmd_train_student(cfg: ExperimentConfig, out: Path, regimes, temperatures, seeds,
                       parallel: int) -> None:
+    splits = [_load_split(out, name) for name in _SPLITS]
+    train = partial(_train_one_student, cfg, out, splits)
     cells = _expand_cells(regimes, temperatures, seeds)
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [
-                pool.submit(_train_one_student, cfg, out, regime, t, seed)
-                for regime, t, seed in cells
-            ]
-            for f in futures:
-                f.result()
-    else:
-        for regime, t, seed in cells:
-            _train_one_student(cfg, out, regime, t, seed)
+    with ProcessPoolExecutor(parallel) if parallel > 1 else nullcontext() as pool:
+        list((pool.map if pool else map)(train, cells))
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, model_path: str, split: str) -> None:
@@ -227,31 +222,32 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, model_path: str, split: str) -> N
 
 
 def cmd_variance_report(
-    cfg: ExperimentConfig, out: Path, seed: int, student_path: str | None
+    cfg: ExperimentConfig, out: Path, seeds, student_path: str | None
 ) -> None:
     train = _load_split(out, "train")
-    if student_path:
-        student = read_checkpoint(student_path)
-        # name and content, not the path: the report must not depend on
-        # the directory the command runs from
-        origin = f"{Path(student_path).name} sha256 {checkpoint_digest(student).hex()}"
-    else:
-        student = _init_student(cfg, train, seed)
-        origin = "fresh-init"
-    soft_sets = [_read_soft(out, t, seed) for t in cfg.temperatures]
-    hard, *softs = gradient_variance_report(student, train, [None, *soft_sets])
-    lines = [
-        "# kdtrain-variance v1",
-        f"# seed {seed}",
-        f"# student {origin}",
-        "# columns targets temperature total first_term",
-        f"hard - {hard.total!r} {hard.first_term!r}",
-    ]
-    for t, rep in zip(cfg.temperatures, softs):
-        lines.append(f"soft {_tfmt(t)} {rep.total!r} {rep.first_term!r}")
-    text = "\n".join(lines) + "\n"
-    write_atomic(out / f"variance_s{seed}.txt", [text.encode()])
-    print(text, end="")
+    for seed in seeds:
+        if student_path:
+            student = read_checkpoint(student_path)
+            # name and content, not the path: the report must not depend on
+            # the directory the command runs from
+            origin = f"{Path(student_path).name} sha256 {checkpoint_digest(student).hex()}"
+        else:
+            student = _init_student(cfg, train, seed)
+            origin = "fresh-init"
+        soft_sets = [_read_soft(out, t, seed) for t in cfg.temperatures]
+        hard, *softs = gradient_variance_report(student, train, [None, *soft_sets])
+        lines = [
+            "# kdtrain-variance v1",
+            f"# seed {seed}",
+            f"# student {origin}",
+            "# columns targets temperature total first_term",
+            f"hard - {hard.total!r} {hard.first_term!r}",
+        ]
+        for t, rep in zip(cfg.temperatures, softs):
+            lines.append(f"soft {_tfmt(t)} {rep.total!r} {rep.first_term!r}")
+        text = "\n".join(lines) + "\n"
+        write_atomic(out / f"variance_s{seed}.txt", [text.encode()])
+        print(text, end="")
 
 
 def _collect_runs(out: Path) -> list[RunRecord]:
@@ -377,8 +373,7 @@ def _dispatch(args) -> None:
     elif args.command == "eval":
         cmd_eval(cfg, out, args.model, args.split)
     elif args.command == "variance-report":
-        for seed in seeds:
-            cmd_variance_report(cfg, out, seed, args.student)
+        cmd_variance_report(cfg, out, seeds, args.student)
     elif args.command == "report":
         cmd_report(cfg, out)
 

@@ -99,10 +99,9 @@ class SplitSet:
 class SynthTaskSpec:
     """Parameters of the synthetic frame-classification task.
 
-    ``centroids`` (K x D) and ``transitions`` (K x K, rows summing to 1)
-    may be given explicitly; by default they are drawn from the seed:
-    unit-normal centroids and a uniform off-diagonal chain with
-    ``self_loop`` on the diagonal. ``noise_scale`` may be a scalar or a
+    The class centroids are unit-normal draws from the seed, and labels
+    follow a chain with ``self_loop`` on the diagonal and the rest
+    spread uniformly off it. ``noise_scale`` may be a scalar or a
     per-class vector; ``noise_corr`` is the AR(1) coefficient of the
     emission noise along time (0 = white). ``blend_frames`` is the
     number of frames on each side of a label transition whose features
@@ -120,8 +119,6 @@ class SynthTaskSpec:
     train_utterances: int = 600
     cv_utterances: int = 200
     test_utterances: int = 200
-    centroids: np.ndarray | None = None
-    transitions: np.ndarray | None = None
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -145,32 +142,13 @@ class SynthTaskSpec:
             )
         if min(self.train_utterances, self.cv_utterances, self.test_utterances) < 1:
             raise InvalidArgumentError("every split needs at least 1 utterance")
-        if self.transitions is not None:
-            t = np.asarray(self.transitions, dtype=np.float64)
-            if t.shape != (self.num_classes, self.num_classes):
-                raise ShapeError(f"transition matrix shape {t.shape}")
-            if np.abs(t.sum(axis=1) - 1.0).max() > 1e-9 or t.min() < 0:
-                raise InvalidArgumentError("transition rows must be probabilities summing to 1")
-            self.transitions = t
-        if self.centroids is not None:
-            c = np.asarray(self.centroids, dtype=np.float64)
-            if c.shape != (self.num_classes, self.feature_dim):
-                raise ShapeError(f"centroid matrix shape {c.shape}")
-            self.centroids = c
 
 
 def _resolve_task(spec: SynthTaskSpec, rng: np.random.Generator):
     k = spec.num_classes
-    if spec.centroids is not None:
-        centroids = spec.centroids
-    else:
-        centroids = rng.normal(0.0, 1.0, size=(k, spec.feature_dim))
-    if spec.transitions is not None:
-        transitions = spec.transitions
-    else:
-        off = (1.0 - spec.self_loop) / (k - 1)
-        transitions = np.full((k, k), off)
-        np.fill_diagonal(transitions, spec.self_loop)
+    centroids = rng.normal(0.0, 1.0, size=(k, spec.feature_dim))
+    transitions = np.full((k, k), (1.0 - spec.self_loop) / (k - 1))
+    np.fill_diagonal(transitions, spec.self_loop)
     noise = np.broadcast_to(np.asarray(spec.noise_scale, dtype=np.float64), (k,)).copy()
     return centroids, transitions, noise
 

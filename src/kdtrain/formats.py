@@ -17,13 +17,13 @@ files are byte-stable and parse back exactly.
 
 Each binary format has one serializer, which returns the file as a list
 of bytes-like parts: headers as bytes, payloads as little-endian arrays.
-The writers, ``*_bytes`` and ``checkpoint_digest`` all consume those
-parts, so a payload is converted once and never joined on its way to a
-file or a hash. Every writer goes through ``write_atomic``: a temp file
-beside the target, then a rename, so a killed or failing write never
-leaves a partial file under the target's name. Readers decode from a
-memoryview of the file's bytes, so each payload is copied once, by the
-``astype`` that converts it into a new array owning its memory.
+The writers and ``checkpoint_digest`` consume those parts, so a payload
+is converted once and never joined on its way to a file or a hash.
+Every writer goes through ``write_atomic``: a temp file beside the
+target, then a rename, so a killed or failing write never leaves a
+partial file under the target's name. Readers decode from a memoryview
+of the file's bytes, so each payload is copied once, by the ``astype``
+that converts it into a new array owning its memory.
 """
 
 import hashlib
@@ -133,10 +133,6 @@ def _dataset_parts(ds: FrameDataset) -> list:
     ]
 
 
-def dataset_bytes(ds: FrameDataset) -> bytes:
-    return b"".join(_dataset_parts(ds))
-
-
 def write_dataset(path, ds: FrameDataset) -> None:
     write_atomic(path, _dataset_parts(ds))
 
@@ -181,10 +177,6 @@ def _soft_targets_parts(s: SoftTargetSet) -> list:
     return [SOFT_MAGIC, header, s.teacher_digest, np.ascontiguousarray(s.rows, dtype="<f4")]
 
 
-def soft_targets_bytes(s: SoftTargetSet) -> bytes:
-    return b"".join(_soft_targets_parts(s))
-
-
 def write_soft_targets(path, s: SoftTargetSet) -> None:
     write_atomic(path, _soft_targets_parts(s))
 
@@ -220,10 +212,6 @@ def _checkpoint_parts(params) -> list:
         raise FormatError(f"{cls.__name__} arrays do not fit its header {shape}")
     header = struct.pack(f"<BB{len(shape)}I", FORMAT_VERSION, cls.ARCH_TAG, *shape)
     return [MODEL_MAGIC, header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)]
-
-
-def checkpoint_bytes(params) -> bytes:
-    return b"".join(_checkpoint_parts(params))
 
 
 def checkpoint_digest(params) -> bytes:

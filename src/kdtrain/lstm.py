@@ -166,14 +166,15 @@ def init_lstm(
     layers: int = DEFAULT_LAYERS,
     cells: int = DEFAULT_CELLS,
     projection: int = DEFAULT_PROJECTION,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     scale: float = 0.05,
 ) -> LstmProjParams:
     """Weights uniform in [-scale, scale] and biases zero (``init_arrays``),
     except the forget gate's bias, which starts at 1 to keep early
     gradients alive."""
     shapes = LstmProjParams.array_shapes((layers, input_dim, cells, projection, num_classes))
-    params = LstmProjParams.from_arrays(init_arrays(shapes, rng or np.random.default_rng(), scale))
+    params = LstmProjParams.from_arrays(init_arrays(shapes, rng, scale))
     for layer in params.layers:
         layer.bias[cells : 2 * cells] = 1.0
     return params

@@ -31,7 +31,7 @@ from .numeric import softmax_rows
 
 # Fixed purpose codes for splitting one master seed into independent
 # streams; documented so runs are reproducible from the master seed alone.
-_SEED_PURPOSES = {"init": 1, "shuffle": 2, "aux": 3}
+_SEED_PURPOSES = {"init": 1, "shuffle": 2}
 
 # Utterances per forward group during evaluation. Groups are filled in
 # length order, so each pads little, except the short last group, which
@@ -46,7 +46,7 @@ _EVAL_BLOCK = 16
 
 
 def derive_rng(master_seed: int, purpose: str, index: int = 0) -> np.random.Generator:
-    """PCG64 generator for one purpose ('init' | 'shuffle' | 'aux') and
+    """PCG64 generator for one purpose ('init' | 'shuffle') and
     index (e.g. epoch number), derived from the master seed."""
     code = _SEED_PURPOSES[purpose]
     return np.random.Generator(

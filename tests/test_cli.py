@@ -173,6 +173,31 @@ def test_parallel_students_equal_the_serial_run(done, tmp_path):
     assert {n: d for n, d in digests(copy).items() if n.startswith("student_")} == students
 
 
+def test_each_split_is_read_once_per_command(done, tmp_path, monkeypatch):
+    """train-student reads the three splits once for all its cells, and
+    variance-report reads the train split once for all its seeds."""
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns("student_*"))
+    reads = []
+
+    def counting(path):
+        reads.append(path.name)
+        return read_dataset(path)
+
+    monkeypatch.setattr(cli, "read_dataset", counting)
+    assert run(config, copy, "train-student") == 0
+    assert len(list(copy.glob("student_*.runrec"))) == 5
+    assert sorted(reads) == ["dataset_cv.dkds", "dataset_test.dkds", "dataset_train.dkds"]
+    two_seeds = write_config(tmp_path / "two.yaml", experiment={"seeds": [3, 4]})
+    fresh = tmp_path / "two"
+    for argv in (["generate-data"], ["train-teacher"], ["export-soft"]):
+        assert run(two_seeds, fresh, *argv) == 0
+    reads.clear()
+    assert run(two_seeds, fresh, "variance-report") == 0
+    assert reads == ["dataset_train.dkds"]
+    assert len(list(fresh.glob("variance_s*.txt"))) == 2
+
+
 def test_export_from_a_student_checkpoint_exits_3(done, tmp_path, capsys):
     config, out = done
     copy = shutil.copytree(out, tmp_path / "copy")
@@ -194,6 +219,23 @@ def test_checkpoint_whose_header_disagrees_with_itself_exits_3(done, tmp_path, c
         f"error: checkpoint {bad}: inconsistent header (1, 3, 2, 4, 2): "
         "projection dim 4 exceeds cell dim 2"
     ]
+
+
+@pytest.mark.parametrize("argv, before, message", [
+    (["train-teacher"], [], "; run generate-data first"),
+    (["export-soft"], [["generate-data"]], "; run train-teacher first"),
+    (["report"], [["generate-data"]], "no completed runs under"),
+], ids=["train-teacher", "export-soft", "report"])
+def test_a_step_before_its_inputs_exits_2(tmp_path, capsys, argv, before, message):
+    config = write_config(tmp_path / "tiny.yaml")
+    out = tmp_path / "out"
+    for earlier in before:
+        assert run(config, out, *earlier) == 0
+    capsys.readouterr()
+    assert run(config, out, *argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
 
 def test_unknown_regime_exits_2(done):
     assert run(*done, "train-student", "--regime", "kaldi") == 2
@@ -245,6 +287,10 @@ def test_numeric_abort_exits_1_and_keeps_last_good_epoch(tmp_path):
     assert (out / "student_hard_s3.aborted.dkdm").exists()
     assert read_run_record(out / "student_hard_s3.aborted.runrec").epochs == []
     assert not (out / "student_hard_s3.dkdm").exists()
+    # the aborted record is not a completed run, so the report leaves it out
+    assert run(config, out, "report") == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["teacher", "hard"]]
 
 
 @pytest.mark.parametrize("case", ["cv split", "off-normalised row"])

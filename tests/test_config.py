@@ -88,6 +88,16 @@ def assert_refused_at_load(tmp_path, capsys, text, match):
     assert not out.exists()
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nowhere.yaml"
+    with pytest.raises(ConfigError, match="config file not found"):
+        load_config(str(missing))
+    out = tmp_path / "out"
+    assert main(["--config", str(missing), "--out", str(out), "generate-data"]) == 2
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+    assert not out.exists()
+
+
 LEAVES = [(section, name, default) for section, keys in DEFAULTS.items()
           for name, default in keys.items()]
 
@@ -136,6 +146,8 @@ def test_every_key_refuses_a_wrong_type_at_load(tmp_path, capsys, section, name,
     ("train: {improve_threshold: .nan}", "train schedule: improve_threshold must not be NaN"),
     ("task: {noise_scale: .nan}", "task: noise_scale must be finite and >= 0, got nan"),
     ("task: {noise_scale: -1}", "task: noise_scale must be finite and >= 0, got -1.0"),
+    ("train: 3", "config key 'train' must be a mapping"),
+    ("- train\n- task\n", "bad.yaml must hold a mapping"),
 ])
 def test_bad_setting_exits_2_at_load(tmp_path, capsys, text, match):
     assert_refused_at_load(tmp_path, capsys, text, match)

@@ -65,11 +65,6 @@ class TestSynthTaskSpec:
             with pytest.raises(ShapeError, match="noise_scale"):
                 SynthTaskSpec(num_classes=3, noise_scale=noise)
 
-    def test_transition_rows_must_normalize(self):
-        bad = np.full((3, 3), 0.4)
-        with pytest.raises(InvalidArgumentError):
-            SynthTaskSpec(num_classes=3, transitions=bad)
-
 
 def loop_blend_means(labels, centroids, blend):
     """Reference for one utterance: the frame-by-frame loop over each

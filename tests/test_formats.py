@@ -16,16 +16,13 @@ from kdtrain.feedforward import init_feedforward
 from kdtrain.formats import (
     EpochStats,
     RunRecord,
-    checkpoint_bytes,
     checkpoint_digest,
-    dataset_bytes,
     export_manifest_text,
     read_checkpoint,
     read_dataset,
     read_run_record,
     read_soft_targets,
     run_record_text,
-    soft_targets_bytes,
     write_atomic,
     write_checkpoint,
     write_dataset,
@@ -33,6 +30,12 @@ from kdtrain.formats import (
     write_soft_targets,
 )
 from kdtrain.lstm import init_lstm
+
+
+def written(write, obj, path) -> bytes:
+    """The bytes that ``write`` puts in the file ``path`` for ``obj``."""
+    write(path, obj)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ class TestDatasetFormat:
         np.testing.assert_array_equal(read_dataset(path).labels, [65_535, 65_535])
 
     def test_bad_magic_rejected(self, dataset, tmp_path):
-        raw = bytearray(dataset_bytes(dataset))
+        raw = bytearray(written(write_dataset, dataset, tmp_path / "ok.dkds"))
         raw[0] = ord(b"X")
         p = tmp_path / "bad.dkds"
         p.write_bytes(bytes(raw))
@@ -79,7 +82,7 @@ class TestDatasetFormat:
         assert exc.value.offset == 0
 
     def test_unknown_version_rejected(self, dataset, tmp_path):
-        raw = bytearray(dataset_bytes(dataset))
+        raw = bytearray(written(write_dataset, dataset, tmp_path / "ok.dkds"))
         raw[5] = 99
         p = tmp_path / "v.dkds"
         p.write_bytes(bytes(raw))
@@ -88,7 +91,7 @@ class TestDatasetFormat:
         assert exc.value.offset == 5
 
     def test_truncated_features_report_offset(self, dataset, tmp_path):
-        raw = dataset_bytes(dataset)
+        raw = written(write_dataset, dataset, tmp_path / "ok.dkds")
         p = tmp_path / "t.dkds"
         p.write_bytes(raw[:-10])
         with pytest.raises(FormatError) as exc:
@@ -97,7 +100,7 @@ class TestDatasetFormat:
         assert "truncated" in str(exc.value)
 
     def test_corrupted_label_names_frame_index(self, dataset, tmp_path):
-        raw = bytearray(dataset_bytes(dataset))
+        raw = bytearray(written(write_dataset, dataset, tmp_path / "ok.dkds"))
         # labels start after header (6) + counts (24) + manifest (24/utt)
         labels_off = 6 + 24 + 24 * len(dataset.utterances)
         frame = 3
@@ -108,9 +111,29 @@ class TestDatasetFormat:
             read_dataset(p)
         assert f"frame index {frame}" in str(exc.value)
 
+    @pytest.mark.parametrize("at, value, shown", [(6, 1, "K=1, D=4"), (10, 0, "K=5, D=0")],
+                             ids=["one-class", "no-features"])
+    def test_degenerate_header_rejected(self, dataset, tmp_path, at, value, shown):
+        raw = bytearray(written(write_dataset, dataset, tmp_path / "ok.dkds"))
+        raw[at : at + 4] = struct.pack("<I", value)
+        p = tmp_path / "h.dkds"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"degenerate header {shown}") as exc:
+            read_dataset(p)
+        assert exc.value.offset == 6
+
+    def test_manifest_that_does_not_partition_the_frames_rejected(self, dataset, tmp_path):
+        raw = bytearray(written(write_dataset, dataset, tmp_path / "ok.dkds"))
+        # the first utterance's offset field: header (30), then its uid (8)
+        raw[38:46] = struct.pack("<Q", 1)
+        p = tmp_path / "m.dkds"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="inconsistent manifest: .* breaks the partition"):
+            read_dataset(p)
+
     def test_trailing_bytes_rejected(self, dataset, tmp_path):
         p = tmp_path / "x.dkds"
-        p.write_bytes(dataset_bytes(dataset) + b"junk")
+        p.write_bytes(written(write_dataset, dataset, tmp_path / "ok.dkds") + b"junk")
         with pytest.raises(FormatError):
             read_dataset(p)
 
@@ -148,11 +171,25 @@ class TestSoftTargetFormat:
 
     def test_truncation_rejected(self, dataset, tmp_path):
         soft = SoftTargetSet(1.0, np.full((dataset.total_frames, 5), 0.2))
-        raw = soft_targets_bytes(soft)
+        raw = written(write_soft_targets, soft, tmp_path / "ok.dkst")
         p = tmp_path / "t.dkst"
         p.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
             read_soft_targets(p)
+
+    @pytest.mark.parametrize("at, fmt, value, shown", [
+        (6, "<d", 0.0, "T=0.0, K=5"), (6, "<d", -2.0, "T=-2.0, K=5"),
+        (6, "<d", float("nan"), "T=nan, K=5"), (22, "<I", 1, "T=1.0, K=1"),
+    ], ids=["T=0", "T<0", "T=nan", "K=1"])
+    def test_bad_header_rejected(self, dataset, tmp_path, at, fmt, value, shown):
+        soft = SoftTargetSet(1.0, np.full((dataset.total_frames, 5), 0.2))
+        raw = bytearray(written(write_soft_targets, soft, tmp_path / "ok.dkst"))
+        raw[at : at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        p = tmp_path / "h.dkst"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"bad header {shown}") as exc:
+            read_soft_targets(p)
+        assert exc.value.offset == 6
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.dkst"
@@ -191,7 +228,7 @@ class TestCheckpointFormat:
 
     def test_unknown_arch_tag(self, tmp_path):
         p = init_feedforward([3, 4, 2], np.random.default_rng(38))
-        raw = bytearray(checkpoint_bytes(p))
+        raw = bytearray(written(write_checkpoint, p, tmp_path / "ok.dkdm"))
         raw[6] = 9
         path = tmp_path / "a.dkdm"
         path.write_bytes(bytes(raw))
@@ -201,25 +238,27 @@ class TestCheckpointFormat:
 
     def test_truncation_reports_offset(self, tmp_path):
         p = init_lstm(3, 2, cells=3, projection=2, rng=np.random.default_rng(39))
-        raw = checkpoint_bytes(p)
+        raw = written(write_checkpoint, p, tmp_path / "ok.dkdm")
         path = tmp_path / "t.dkdm"
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError) as exc:
             read_checkpoint(path)
         assert exc.value.offset is not None
 
-    def test_non_model_object_is_refused(self):
+    def test_non_model_object_is_refused(self, tmp_path):
         with pytest.raises(FormatError, match="cannot checkpoint object of type dict"):
-            checkpoint_bytes({"weights": []})
+            write_checkpoint(tmp_path / "x.dkdm", {"weights": []})
+        assert list(tmp_path.iterdir()) == []
 
-    def test_lstm_whose_layers_differ_in_width_is_refused(self):
+    def test_lstm_whose_layers_differ_in_width_is_refused(self, tmp_path):
         """The header holds one C and P for every layer, so a model whose
         layers differ cannot be written in a form that reads back."""
         p = init_lstm(5, 4, layers=2, cells=6, projection=3, rng=np.random.default_rng(40))
         q = init_lstm(3, 4, cells=5, projection=3, rng=np.random.default_rng(40))
         p.layers[1] = q.layers[0]
         with pytest.raises(FormatError, match="do not fit its header"):
-            checkpoint_bytes(p)
+            write_checkpoint(tmp_path / "x.dkdm", p)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "tag, shape, n_values, message",
@@ -259,7 +298,7 @@ def _init_models():
 
 
 class TestModelLayout:
-    # sha256 of checkpoint_bytes, recorded before init, copy and the
+    # sha256 of the checkpoint file, recorded before init, copy and the
     # checkpoint writer were rewritten over array_shapes/from_arrays.
     # Only the generator and byte packing are involved, no BLAS, so they
     # hold on every platform.
@@ -271,8 +310,8 @@ class TestModelLayout:
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_init_checkpoint_bytes_are_pinned(self, name):
-        raw = checkpoint_bytes(_init_models()[name])
+    def test_init_checkpoint_bytes_are_pinned(self, tmp_path, name):
+        raw = written(write_checkpoint, _init_models()[name], tmp_path / "m.dkdm")
         assert hashlib.sha256(raw).hexdigest() == self.PINNED[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -472,6 +511,9 @@ class TestRunRecords:
         ("# columns epoch lr", "# columns epoch rate", "columns are not"),
         (" 41.0 ", " forty-one ", "line 10"),
         ("\n2 ", "\n2.5 ", "line 10"),
+        (" 0.7 0.8\n", " 0.7\n", "line 10 has 6 columns"),
+        (" 0.7 0.8\n", " 0.7 0.8 0.9\n", "line 10 has 8 columns"),
+        ("# kdtrain-runrec v1", "# kdtrain-runrec v2", "unsupported header"),
     ])
     def test_malformed_record_rejected_naming_the_fault(self, tmp_path, old, new, message):
         text = run_record_text(_record())

@@ -343,6 +343,13 @@ class TestInit:
         for x, y in zip(a.arrays(), b.arrays()):
             np.testing.assert_array_equal(x, y)
 
+    def test_generator_is_required_by_keyword(self):
+        """No unseeded default: every init is reproducible from its rng."""
+        with pytest.raises(TypeError, match="rng"):
+            init_lstm(4, 3)
+        with pytest.raises(TypeError):
+            init_lstm(4, 3, 1, 8, 4, np.random.default_rng(26))
+
     def test_stacked_layer_dims_chain(self):
         p = init_lstm(6, 4, layers=3, cells=8, projection=4, rng=np.random.default_rng(27))
         assert p.layers[0].input_dim == 6
