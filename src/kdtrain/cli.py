@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 numeric failure, 2 usage/config error,
 import argparse
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -210,8 +208,14 @@ def cmd_train_student(cfg: ExperimentConfig, out: Path, regimes, temperatures, s
     splits = [_load_split(out, name) for name in _SPLITS]
     train = partial(_train_one_student, cfg, out, splits)
     cells = _expand_cells(regimes, temperatures, seeds)
-    with ProcessPoolExecutor(parallel) if parallel > 1 else nullcontext() as pool:
-        list((pool.map if pool else map)(train, cells))
+    if parallel > 1:
+        # imported here so that a serial command does not pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(parallel) as pool:
+            list(pool.map(train, cells))
+    else:
+        list(map(train, cells))
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, model_path: str, split: str) -> None:

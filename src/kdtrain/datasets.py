@@ -14,9 +14,10 @@ teacher competitive with the student.
 
 All randomness comes from numpy's PCG64 generator seeded through
 SeedSequence, so a given seed reproduces the same dataset on any
-platform. Features are rounded to 32-bit float values at generation
-time (then kept as float64 in memory), which makes file round trips
-bit-exact.
+platform. Features are held as the 32-bit float values that the DKDS
+format stores, so file round trips are bit-exact and a split takes half
+the memory of float64. Every computation on them is float64: each
+consumer widens only the rows it uses into a buffer it owns.
 """
 
 from bisect import bisect_right
@@ -38,8 +39,11 @@ class Utterance:
 class FrameDataset:
     """An ordered set of utterances over one flat frame axis.
 
-    ``features`` is (total_frames x D) float64, ``labels`` one class id
-    per frame. Utterance offsets partition the frame axis exactly.
+    ``features`` is a C-contiguous (total_frames x D) float32 array,
+    ``labels`` one int64 class id per frame. Features given in another
+    dtype are rounded to float32 once, here, so a dataset holds exactly
+    what ``write_dataset`` stores. Utterance offsets partition the frame
+    axis exactly.
     """
 
     utterances: list[Utterance]
@@ -48,7 +52,7 @@ class FrameDataset:
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ShapeError(f"features must be 2-D, got shape {self.features.shape}")
@@ -258,9 +262,7 @@ def _generate_split(
     features = _blend_means(labels, first, centroids, spec.blend_frames)
     features += eps
     del eps
-    # canonicalize to 32-bit values so disk round trips are bit-exact
-    features[...] = features.astype(np.float32)
-    return FrameDataset(utterances, features, labels, k)
+    return FrameDataset(utterances, features.astype(np.float32), labels, k)
 
 
 def generate_synth(spec: SynthTaskSpec, seed: int) -> SplitSet:
@@ -283,8 +285,8 @@ def validate_soft_targets(soft_set, dataset: FrameDataset) -> list[str]:
     """Consistency check between a soft-target set and a dataset.
 
     Returns a list of human-readable violations; empty means valid.
-    Never mutates either argument. Row normalization is checked at the
-    1e-6 storage tolerance.
+    Never mutates either argument. A NaN or infinite entry is outside
+    [0, 1]. Row normalization is checked at the 1e-6 storage tolerance.
     """
     violations = []
     if soft_set.frame_count != dataset.total_frames:
@@ -298,10 +300,12 @@ def validate_soft_targets(soft_set, dataset: FrameDataset) -> list[str]:
             f"dataset has {dataset.num_classes}"
         )
     rows = soft_set.rows
-    bad_range = np.flatnonzero((rows < 0).any(axis=1) | (rows > 1).any(axis=1))
+    # NaN fails both comparisons, so it lands outside the range
+    bad_range = np.flatnonzero(~((rows >= 0) & (rows <= 1)).all(axis=1))
     for idx in bad_range[:10]:
         violations.append(f"row {idx} has entries outside [0, 1]")
-    sums = rows.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row sums to NaN
+        sums = rows.sum(axis=1)
     bad_norm = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     for idx in bad_norm[:10]:
         violations.append(f"row {idx} sums to {sums[idx]:.9f}, expected 1 within 1e-6")

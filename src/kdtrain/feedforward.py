@@ -132,9 +132,12 @@ def ff_forward(
     When ``hidden`` is a list, the rows run as one block and each hidden
     layer's (frames x width) output is appended to it, input side first:
     the activations ``ff_backward`` needs. Otherwise they run in row
-    blocks (see the module docstring). The features are never written to.
+    blocks (see the module docstring). The features may be float32, as
+    a dataset holds them: each block is widened to float64 on its own,
+    so no float64 copy of the whole matrix is made. The arithmetic is
+    float64 either way, and the features are never written to.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeError(
             f"features shape {x.shape} does not match input dim {params.input_dim}"
@@ -144,7 +147,7 @@ def ff_forward(
     logits = np.empty((n, params.output_dim))
     for k in range(blocks):
         rows = slice(k * n // blocks, (k + 1) * n // blocks)
-        h = x[rows]
+        h = x[rows].astype(np.float64, copy=False)
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
             h = np.matmul(h, w.T)
             h += b

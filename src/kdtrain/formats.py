@@ -23,7 +23,9 @@ Every writer goes through ``write_atomic``: a temp file beside the
 target, then a rename, so a killed or failing write never leaves a
 partial file under the target's name. Readers decode from a memoryview
 of the file's bytes, so each payload is copied once, by the ``astype``
-that converts it into a new array owning its memory.
+that converts it into a new array owning its memory. DKDS features stay
+float32, as stored, so a dataset is written and read without a
+conversion copy; a non-finite feature is refused at read.
 """
 
 import hashlib
@@ -155,8 +157,16 @@ def read_dataset(path) -> FrameDataset:
             f"{r.what}: label {labels[bad[0]]} >= K={k} at frame index {bad[0]}",
             offset=labels_off + 2 * int(bad[0]),
         )
-    features = r.array("<f4", (n_frames, d), np.float64)
+    features_off = r.pos
+    features = r.array("<f4", (n_frames, d), np.float32)
     r.expect_end()
+    # min and max propagate NaN and reach any infinity, with no temporary
+    if not (math.isfinite(features.min(initial=0.0)) and math.isfinite(features.max(initial=0.0))):
+        first = int(np.flatnonzero(~np.isfinite(features))[0])
+        raise FormatError(
+            f"{r.what}: non-finite feature {features.flat[first]} at frame index {first // d}",
+            offset=features_off + 4 * first,
+        )
     try:
         return FrameDataset(utterances, features, labels, k)
     except Exception as exc:

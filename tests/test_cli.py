@@ -5,6 +5,9 @@ import hashlib
 import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -173,6 +176,18 @@ def test_parallel_students_equal_the_serial_run(done, tmp_path):
     assert {n: d for n, d in digests(copy).items() if n.startswith("student_")} == students
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    """Only --parallel above 1 imports the process pool, so a serial
+    command does not pay for multiprocessing."""
+    pool_modules = ("concurrent.futures.process", "multiprocessing")
+    code = f"import sys, kdtrain.cli; print([m for m in {pool_modules} if m in sys.modules])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_each_split_is_read_once_per_command(done, tmp_path, monkeypatch):
     """train-student reads the three splits once for all its cells, and
     variance-report reads the train split once for all its seeds."""
@@ -270,6 +285,19 @@ def test_truncated_dataset_exits_3(done, tmp_path):
     assert run(config, copy, "train-teacher") == 3
 
 
+def test_non_finite_feature_exits_3_before_any_epoch(done, tmp_path, capsys):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns("teacher_*"))
+    path = copy / "dataset_train.dkds"
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(config, copy, "train-teacher") == 3
+    assert "non-finite feature nan" in capsys.readouterr().err
+    assert not list(copy.glob("teacher_*"))
+
+
 def test_soft_targets_at_wrong_temperature_exit_3(done, tmp_path):
     config, out = done
     copy = shutil.copytree(out, tmp_path / "copy")
@@ -293,10 +321,10 @@ def test_numeric_abort_exits_1_and_keeps_last_good_epoch(tmp_path):
     assert [row.split(",")[:2] for row in rows] == [["teacher", "hard"]]
 
 
-@pytest.mark.parametrize("case", ["cv split", "off-normalised row"])
+@pytest.mark.parametrize("case", ["cv split", "off-normalised row", "NaN entry"])
 def test_misfit_soft_targets_exit_3_before_any_epoch(done, tmp_path, capsys, case):
-    """A soft set exported on the cv split, or one with a row that does
-    not sum to 1, written over the train soft file."""
+    """A soft set exported on the cv split, one with a row that does not
+    sum to 1, or one with a NaN entry, written over the train soft file."""
     config, out = done
     copy = shutil.copytree(out, tmp_path / "copy")
     for stale in copy.glob("student_soft_T2_s3.*"):
@@ -308,7 +336,10 @@ def test_misfit_soft_targets_exit_3_before_any_epoch(done, tmp_path, capsys, cas
     else:
         soft = read_soft_targets(soft_path)
         rows = soft.rows.copy()
-        rows[0] *= 0.5
+        if case == "NaN entry":
+            rows[0, 1] = float("nan")
+        else:
+            rows[0] *= 0.5
         bad = SoftTargetSet(2.0, rows, soft.teacher_digest)
     write_soft_targets(soft_path, bad)
     capsys.readouterr()

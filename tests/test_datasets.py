@@ -91,7 +91,8 @@ def small_spec(**kw):
 
 
 class TestGenerateSynth:
-    # sha256 over each split's features.tobytes() then labels.tobytes(),
+    # sha256 over each split's features widened to float64 (the
+    # generator's dtype when they were pinned) then labels.tobytes(),
     # train, cv, test, at seed 11; recorded from the per-frame reference
     # generator (one rng.choice per label, one AR(1) step per utterance
     # frame), so a faster generator must reproduce it byte for byte
@@ -116,7 +117,7 @@ class TestGenerateSynth:
         splits = generate_synth(SynthTaskSpec(**kwargs), 11)
         h = hashlib.sha256()
         for ds in (splits.train, splits.cv, splits.test):
-            h.update(ds.features.tobytes())
+            h.update(ds.features.astype(np.float64).tobytes())
             h.update(ds.labels.tobytes())
         assert h.hexdigest() == want
 
@@ -209,14 +210,15 @@ class TestGenerateSynth:
         assert checked > 10
 
     def test_generation_holds_each_split_once(self):
-        """The traced peak is at most 3x the largest split's float64
-        features: its noise buffer (room for count x max_frames frames,
-        1.45x the frames drawn at these lengths), the features the noise
-        is added to, the smaller splits and index arrays. No padded or
-        chunked copy of the noise and no full-size temporary."""
+        """The traced peak is at most 3x the largest split's features
+        in float64, the dtype they are generated in: its noise buffer
+        (room for count x max_frames frames, 1.45x the frames drawn at
+        these lengths), the features the noise is added to, the smaller
+        splits and index arrays. No padded or chunked copy of the noise
+        and no full-size temporary."""
         spec = SynthTaskSpec(train_utterances=400, cv_utterances=20, test_utterances=20)
         splits, peak = traced_peak(generate_synth, spec, 5)
-        assert peak <= 3 * splits.train.features.nbytes
+        assert peak <= 3 * splits.train.features.size * 8
 
     def test_noise_corr_makes_consecutive_noise_similar(self):
         flat = generate_synth(small_spec(noise_corr=0.0, blend_frames=0), 21)
@@ -251,6 +253,17 @@ class TestValidateSoftTargets:
         ds = self._dataset()
         soft = SoftTargetSet(1.0, np.full((ds.total_frames, 5), 0.2))
         assert any("class count" in v for v in validate_soft_targets(soft, ds))
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "inf-and-minus-inf"])
+    def test_non_finite_entry_is_outside_the_range(self, bad):
+        """NaN fails every comparison; a row of inf and -inf sums to NaN
+        without a RuntimeWarning."""
+        ds = self._dataset()
+        rows = np.full((ds.total_frames, 4), 0.25)
+        rows[5, : len(bad)] = bad
+        violations = validate_soft_targets(SoftTargetSet(1.0, rows), ds)
+        assert violations[0] == "row 5 has entries outside [0, 1]"
 
     def test_off_normalized_row_named(self):
         ds = self._dataset()

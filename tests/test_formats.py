@@ -60,6 +60,37 @@ class TestDatasetFormat:
         write_dataset(tmp_path / "d2.dkds", loaded)
         assert (tmp_path / "d.dkds").read_bytes() == (tmp_path / "d2.dkds").read_bytes()
 
+    def test_round_trip_equals_a_dataset_built_from_float64(self, tmp_path):
+        """A dataset rounds float64 features to float32 once, when it is
+        built, so it holds what the file stores, bit for bit; a strided
+        input ends up C-contiguous."""
+        rng = np.random.default_rng(47)
+        ds = FrameDataset(
+            [Utterance(0, 0, 7), Utterance(1, 7, 5)], rng.normal(scale=1e3, size=(3, 12)).T,
+            rng.integers(0, 4, 12), 4,
+        )
+        assert ds.features.dtype == np.float32 and ds.features.flags.c_contiguous
+        path = tmp_path / "d.dkds"
+        write_dataset(path, ds)
+        loaded = read_dataset(path)
+        assert loaded.features.dtype == np.float32
+        assert loaded.features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature_names_frame_and_offset(self, dataset, tmp_path, value):
+        raw = bytearray(written(write_dataset, dataset, tmp_path / "ok.dkds"))
+        d = dataset.feature_dim
+        features_off = len(raw) - 4 * dataset.total_frames * d
+        frame, dim = 5, 2
+        at = features_off + 4 * (frame * d + dim)
+        raw[at : at + 4] = struct.pack("<f", value)
+        p = tmp_path / "n.dkds"
+        p.write_bytes(bytes(raw))
+        message = f"non-finite feature {value} at frame index {frame}"
+        with pytest.raises(FormatError, match=message) as exc:
+            read_dataset(p)
+        assert exc.value.offset == at
+
     def test_labels_beyond_u16_rejected_before_writing(self, tmp_path):
         """K = 70,000 is a valid dataset, but label 65,536 would wrap to 0
         in the u16 label field; nothing may be written."""

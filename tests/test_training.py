@@ -5,6 +5,7 @@ against the frame partition; length-ordered, frame-blocked evaluation
 against unblocked references, and its memory against block-derived
 bounds; and the gradient-variance report against a two-pass oracle."""
 
+import copy
 import dataclasses
 import tracemalloc
 
@@ -360,6 +361,76 @@ def test_teacher_eval_memory_is_bounded_by_the_row_block():
     teacher = init_feedforward([20, width, width, 10], rng, scale=0.3)
     out, peak = traced_peak(eval_logits, teacher, split)
     assert peak <= out.nbytes + 2 * _BLOCK_ROWS * width * 8 + _SLACK
+
+
+def test_teacher_eval_makes_no_float64_copy_of_a_float32_split():
+    """The split holds float32 features; a teacher eval widens one row
+    block at a time, so it holds far less than the split in float64."""
+    rows, d, width = 5 * _BLOCK_ROWS + 77, 64, 8
+    rng = np.random.default_rng(37)
+    split = FrameDataset(
+        [Utterance(0, 0, rows)], rng.normal(size=(rows, d)),
+        np.zeros(rows, dtype=np.int64), 10,
+    )
+    assert split.features.dtype == np.float32
+    teacher = init_feedforward([d, width, 10], rng, scale=0.3)
+    out, peak = traced_peak(eval_logits, teacher, split)
+    bound = out.nbytes + _BLOCK_ROWS * (d + 2 * width) * 8 + _SLACK
+    assert peak <= bound < split.features.size * 8
+
+
+def widened(split):
+    """``split`` with the same feature values held as float64."""
+    wide = copy.copy(split)
+    wide.features = split.features.astype(np.float64)
+    return wide
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_ff_forward_on_float32_features_gives_the_float64_bits():
+    """The hidden path and a 3-block path, logits and activations."""
+    rng = np.random.default_rng(38)
+    x = rng.normal(size=(2 * _BLOCK_ROWS + 5, 5)).astype(np.float32)
+    teacher = init_feedforward([5, 8, 8, 4], rng, scale=0.5)
+    kept32, kept64 = [], []
+    assert_same_bits([ff_forward(teacher, x, kept32), *kept32],
+                     [ff_forward(teacher, x.astype(np.float64), kept64), *kept64])
+    assert_same_bits([ff_forward(teacher, x)], [ff_forward(teacher, x.astype(np.float64))])
+
+
+def _logitmatch_run(task):
+    record, params = train(task, "logitmatch", teacher=task[3])
+    stats = [[e.mean_loss, e.train_accuracy, e.cv_accuracy, e.grad_variance]
+             for e in record.epochs]
+    return [*params.arrays(), np.array(stats)]
+
+
+FEATURE_PATHS = {
+    "eval teacher": lambda task: [eval_logits(task[3], task[0])],
+    "eval student": lambda task: [eval_logits(task[2], task[0])],
+    "iter_batches": lambda task: [
+        b.features for b in iter_batches(task[0], np.arange(len(task[0].utterances)), 3, 5)
+    ],
+    "export_soft_targets": lambda task: [
+        s.rows for s in export_soft_targets(task[3], task[0], [1.0, 2.0])
+    ],
+    "logitmatch": _logitmatch_run,
+}
+
+
+@pytest.mark.parametrize("path", FEATURE_PATHS)
+def test_float32_split_gives_the_float64_bits(task, path):
+    """Each consumer of a split's features computes from its float32
+    values exactly what it computes from the same values as float64."""
+    train_set, cv_set, student, teacher = task
+    assert train_set.features.dtype == np.float32
+    held64 = (widened(train_set), cv_set, student, teacher)
+    assert_same_bits(FEATURE_PATHS[path](task), FEATURE_PATHS[path](held64))
 
 
 def two_pass_variance(t, y):
