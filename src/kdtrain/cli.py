@@ -134,7 +134,8 @@ def _expand_cells(regimes, temperatures, seeds):
 
 
 def cmd_generate_data(cfg: ExperimentConfig, out: Path) -> None:
-    splits = generate_synth(cfg.task, cfg.data_seed)
+    splits = generate_synth(cfg.task, cfg.data_seed)  # first: a refused task writes nothing
+    _prepare_out(out, cfg)
     for name in _SPLITS:
         ds = getattr(splits, name)
         write_dataset(out / f"dataset_{name}.dkds", ds)
@@ -357,8 +358,11 @@ def _dispatch(args) -> None:
     cfg = load_config(args.config)
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+    if getattr(args, "parallel", 1) < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     out = Path(args.out)
-    _prepare_out(out, cfg)
+    if args.command != "generate-data":  # which prepares --out once its splits exist
+        _prepare_out(out, cfg)
     seeds = [args.seed] if args.seed is not None else cfg.seeds
     if args.command == "generate-data":
         cmd_generate_data(cfg, out)

@@ -1,18 +1,21 @@
 """Experiment configuration: one YAML file with a fixed key schema.
 
 Every key has a desk-scale default, so an empty (or absent) file is a
-complete experiment. Unknown keys anywhere are errors - silent typos in
-sweep configs are worse than a hard failure.
+complete experiment; the task and train defaults are the fields' own in
+``SynthTaskSpec`` and ``TrainingSchedule`` (``task.seed`` aside). Unknown
+keys anywhere are errors - silent typos in sweep configs are worse than
+a hard failure.
 
 ``load_config`` types every value once, as its key's default: an int
 key takes an int or a whole float (20.0); a float key takes whatever
 ``float()`` parses, such as the string PyYAML makes of 1e-3; a list key
 takes only a list, typed element by element; a bool is never a number.
 The owning constructors (``SynthTaskSpec``, ``TrainingSchedule``,
-``DistillLossSpec``) then apply their range rules, so a bad value is a
-ConfigError naming its key or rule at load. The train section is one
-``TrainingSchedule``; in the teacher's, a non-null teacher key that
-names a field overrides it.
+``DistillLossSpec``) then apply their range rules, and the student's
+shape rules (``_MINIMUM``, projection at most cells) apply here, so a bad
+value is a ConfigError naming its key or rule at load. The train section
+is one ``TrainingSchedule``; in the teacher's, a non-null teacher key
+that names a field overrides it.
 
 The SHA-256 digest covers the merged values as written, not as typed
 (``window: 20.0`` and ``window: 20`` differ). It identifies an output
@@ -33,21 +36,12 @@ from .distill import DistillLossSpec
 from .errors import ConfigError, InvalidArgumentError
 from .training import TrainingSchedule
 
+# The config's name for a SynthTaskSpec field, where the two differ.
+_TASK_KEYS = {"num_classes": "classes"}
+
 DEFAULTS = {
-    "task": {
-        "seed": 20260401,
-        "classes": 10,
-        "feature_dim": 20,
-        "self_loop": 0.85,
-        "noise_scale": 1.6,
-        "noise_corr": 0.85,
-        "blend_frames": 2,
-        "min_frames": 30,
-        "max_frames": 80,
-        "train_utterances": 300,
-        "cv_utterances": 150,
-        "test_utterances": 300,
-    },
+    "task": {"seed": 20260401, **{_TASK_KEYS.get(f.name, f.name): f.default
+                                  for f in fields(SynthTaskSpec)}},
     "teacher": {
         "hidden": [128, 128],
         "learning_rate": 0.01,
@@ -58,17 +52,7 @@ DEFAULTS = {
         "cells": 64,
         "projection": 32,
     },
-    "train": {
-        "learning_rate": 0.003,
-        "momentum": 0.9,
-        "clip_norm": 5.0,
-        "streams": 4,
-        "window": 20,
-        "max_epochs": 40,
-        "improve_threshold": 0.1,
-        "max_halvings": 3,
-        "pretrain_switch_epoch": None,
-    },
+    "train": {f.name: f.default for f in fields(TrainingSchedule)},
     "experiment": {
         "regimes": ["hard", "soft", "reg", "pretrain"],
         "temperatures": [1.0, 2.0],
@@ -189,11 +173,14 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"config file {p} must hold a mapping")
     values = _merge(DEFAULTS, override)
     v = _typed(values)
-    task = {n: v[f"task.{n}"] for n in DEFAULTS["task"] if n not in ("seed", "classes")}
+    task = {f.name: v[f"task.{_TASK_KEYS.get(f.name, f.name)}"] for f in fields(SynthTaskSpec)}
     schedule = _checked("train schedule", TrainingSchedule,
                         **{f.name: v[f"train.{f.name}"] for f in fields(TrainingSchedule)})
     teacher = {f.name: v[f"teacher.{f.name}"] for f in fields(TrainingSchedule)
                if v.get(f"teacher.{f.name}") is not None}
+    if v["student.projection"] > v["student.cells"]:
+        raise ConfigError(f"config key 'student.projection' must be at most student.cells, "
+                          f"got {v['student.projection']} > {v['student.cells']}")
     empty = [k for k in ("regimes", "temperatures", "seeds") if not v[f"experiment.{k}"]]
     if empty:
         raise ConfigError(f"experiment key(s) {empty} must not be empty")
@@ -203,7 +190,7 @@ def load_config(path: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         values=values,
         data_seed=v["task.seed"],
-        task=_checked("task", SynthTaskSpec, num_classes=v["task.classes"], **task),
+        task=_checked("task", SynthTaskSpec, **task),
         teacher_hidden=v["teacher.hidden"],
         teacher_schedule=_checked("teacher schedule", replace, schedule, **teacher),
         student_shape=(v["student.layers"], v["student.cells"], v["student.projection"]),

@@ -25,27 +25,25 @@ class Regime:
     ``label`` is the regime's Table-1 "Targets" entry. ``soft_targets``
     means it reads the teacher's soft targets at its temperature T (so
     it is trained once per T); ``teacher_logits`` means it needs the
-    teacher's raw logits. ``scale_t2`` multiplies the soft loss and its
-    gradient by T^2, keeping soft-gradient magnitudes comparable across
-    temperatures. ``phases`` are the per-frame objectives run in order;
-    every phase but the last ends after the schedule's switch epoch.
+    teacher's raw logits. ``phases`` are the per-frame objectives run in
+    order (see ``frame_objective``); every phase but the last ends after
+    the schedule's switch epoch.
     """
 
     label: str
     soft_targets: bool
     teacher_logits: bool
-    scale_t2: bool
     phases: tuple[str, ...]
 
 
 # The training regimes, in report order. "hard" is the plain supervised
 # baseline; "pretrain" runs "soft" epochs first and then switches to "hard".
 REGIMES = {
-    "hard": Regime("Hard", False, False, False, ("hard",)),
-    "soft": Regime("Soft", True, False, False, ("soft",)),
-    "reg": Regime("Soft + Hard", True, False, True, ("reg",)),
-    "pretrain": Regime("Soft, Hard", True, False, False, ("soft", "hard")),
-    "logitmatch": Regime("Logits", False, True, False, ("logitmatch",)),
+    "hard": Regime("Hard", False, False, ("hard",)),
+    "soft": Regime("Soft", True, False, ("soft",)),
+    "reg": Regime("Soft + Hard", True, False, ("reg",)),
+    "pretrain": Regime("Soft, Hard", True, False, ("soft", "hard")),
+    "logitmatch": Regime("Logits", False, True, ("logitmatch",)),
 }
 
 
@@ -164,7 +162,9 @@ def frame_objective(
     soft targets at ``spec.temperature`` for "soft" and "reg", the
     teacher's logits for "logitmatch", and None for "hard". Soft rows
     are used as given; run_training refuses a set with a row outside
-    [0, 1] or one that does not sum to 1 before it gets here.
+    [0, 1] or one that does not sum to 1 before it gets here. Only "reg"
+    multiplies its soft term by T^2, which keeps the soft gradient's
+    magnitude beside the hard term's comparable across temperatures.
 
     Also returns the (target, output) pair fed to the gradient-variance
     instrumentation: the hard pair for "hard", the soft pair for "soft"
@@ -181,14 +181,12 @@ def frame_objective(
         losses, grads, q = batch_soft_loss(logits, t_rows, 1.0, False)
         return losses, grads, t_rows, q
     if spec.mode == "soft":
-        losses, grads, q = batch_soft_loss(logits, targets, spec.temperature, regime.scale_t2)
+        losses, grads, q = batch_soft_loss(logits, targets, spec.temperature, False)
         return losses, grads, targets, q
     if spec.mode == "reg":
         t_rows = one_hot_rows(labels, k)
         hard_losses, hard_grads, _ = batch_soft_loss(logits, t_rows, 1.0, False)
-        soft_losses, soft_grads, q = batch_soft_loss(
-            logits, targets, spec.temperature, regime.scale_t2
-        )
+        soft_losses, soft_grads, q = batch_soft_loss(logits, targets, spec.temperature, True)
         return (
             spec.alpha * hard_losses + soft_losses,
             spec.alpha * hard_grads + soft_grads,

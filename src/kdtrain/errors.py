@@ -26,12 +26,12 @@ class InvalidStateError(KdtrainError):
 
 
 class AlignmentError(KdtrainError):
-    """Soft targets do not fit the split or regime they are paired with:
-    another frame count or K, an entry outside [0, 1], a row that does
-    not sum to 1 within 1e-6, or another temperature than the regime's.
-    (The "targets" matrix a regime trains on is these soft rows for
-    "soft", "reg" and "pretrain", and the teacher's logits, which are
-    not checked this way, for "logitmatch".)"""
+    """Soft targets or a model do not fit the split or regime they are
+    paired with: another frame count, D or K, an entry outside [0, 1], a
+    row that does not sum to 1 within 1e-6, or another temperature than
+    the regime's. (The "targets" matrix a regime trains on is these soft
+    rows for "soft", "reg" and "pretrain", and the teacher's logits,
+    which are not checked this way, for "logitmatch".)"""
 
 
 class FormatError(KdtrainError):

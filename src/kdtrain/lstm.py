@@ -50,10 +50,6 @@ from .errors import InvalidStateError, ShapeError
 from .feedforward import init_arrays, sigmoid
 from .numeric import require_finite
 
-DEFAULT_LAYERS = 1
-DEFAULT_CELLS = 64
-DEFAULT_PROJECTION = 32
-
 
 @dataclass
 class LstmLayerParams:
@@ -163,10 +159,10 @@ class LstmProjParams:
 def init_lstm(
     input_dim: int,
     num_classes: int,
-    layers: int = DEFAULT_LAYERS,
-    cells: int = DEFAULT_CELLS,
-    projection: int = DEFAULT_PROJECTION,
     *,
+    layers: int,
+    cells: int,
+    projection: int,
     rng: np.random.Generator,
     scale: float = 0.05,
 ) -> LstmProjParams:

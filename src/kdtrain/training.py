@@ -141,38 +141,30 @@ def iter_batches(
     zero-padded with its mask cleared. ``targets``, when given, is a
     (total_frames x K) matrix cut into windows alongside the features.
     """
-    queues = [order[s::streams] for s in range(streams)]
-    position = [0] * streams
-    cursor = [0] * streams
+    # slot s's windows in order, each (first frame, frame count, starts an utterance)
+    plans = [
+        [(u.offset + lo, min(window, u.count - lo), lo == 0)
+         for u in (dataset.utterances[int(i)] for i in order[s::streams])
+         for lo in range(0, u.count, window)]
+        for s in range(streams)
+    ]
     d = dataset.feature_dim
     k = dataset.num_classes
-    while True:
+    for b in range(max(map(len, plans), default=0)):
         feats = np.zeros((streams, window, d))
         labels = np.zeros((streams, window), dtype=np.int64)
         mask = np.zeros((streams, window), dtype=bool)
         resets = np.zeros(streams, dtype=bool)
         rows = None if targets is None else np.zeros((streams, window, k))
-        emitted = False
-        for s in range(streams):
-            if position[s] >= len(queues[s]):
+        for s, plan in enumerate(plans):
+            if b >= len(plan):
                 continue
-            u = dataset.utterances[int(queues[s][position[s]])]
-            if cursor[s] == 0:
-                resets[s] = True
-            take = min(window, u.count - cursor[s])
-            lo = u.offset + cursor[s]
+            lo, take, resets[s] = plan[b]
             feats[s, :take] = dataset.features[lo : lo + take]
             labels[s, :take] = dataset.labels[lo : lo + take]
             mask[s, :take] = True
             if rows is not None:
                 rows[s, :take] = targets[lo : lo + take]
-            cursor[s] += take
-            if cursor[s] >= u.count:
-                position[s] += 1
-                cursor[s] = 0
-            emitted = True
-        if not emitted:
-            return
         yield Batch(feats, labels, mask, resets, rows)
 
 
@@ -195,9 +187,13 @@ def _is_lstm(params) -> bool:
 def eval_logits(params, dataset: FrameDataset) -> np.ndarray:
     """Per-frame logits over a whole dataset in manifest order, with
     recurrent state zeroed at each utterance start; an LSTM runs each
-    utterance group in ``_EVAL_BLOCK``-frame blocks (see ``_EVAL_GROUP``)."""
+    utterance group in ``_EVAL_BLOCK``-frame blocks (see ``_EVAL_GROUP``).
+    A model whose input or output width is not the split's is AlignmentError."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
+    if (params.input_dim, params.output_dim) != (dataset.feature_dim, dataset.num_classes):
+        raise AlignmentError(f"model of D={params.input_dim}, K={params.output_dim} does not "
+                             f"fit a split of D={dataset.feature_dim}, K={dataset.num_classes}")
     if not _is_lstm(params):
         return ff_forward(params, dataset.features)
     out = np.empty((dataset.total_frames, params.output_dim))
@@ -320,7 +316,8 @@ def gradient_variance_report(
 class TrainingSchedule:
     """The whole recipe of one training run: SGD with momentum and
     global-norm clipping, the batching, and the stopping and
-    learning-rate policy. The defaults are the config's train section.
+    learning-rate policy. The defaults are the config's train section:
+    ``config.DEFAULTS`` reads them from here.
 
     Each phase starts at ``learning_rate`` with zero velocity. The rate
     halves whenever CV frame accuracy fails to improve on the best seen

@@ -24,7 +24,9 @@ def listing(workload: str, out: Path) -> list[str]:
                         "soft_T10_s1.dkst"}),
     ("student_matrix", {"student_hard_s1.dkdm", "student_pretrain_T2_s1.runrec",
                         "soft_T2_s1.dkst", "variance_s1.txt"}),
-], ids=["teacher_export", "student_matrix"])
+    ("student_eval_long", {"student_fresh_s1.dkdm", "teacher_s1.dkdm", "soft_T20_s1.dkst",
+                           "variance_s1.txt"}),
+], ids=["teacher_export", "student_matrix", "student_eval_long"])
 def test_rerun_lists_identical_digests(tmp_path, workload, expected):
     first = listing(workload, tmp_path / "a")
     assert listing(workload, tmp_path / "b") == first

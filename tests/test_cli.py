@@ -7,21 +7,26 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from kdtrain import cli, formats, training
 from kdtrain.cli import main
 from kdtrain.distill import REGIMES, SoftTargetSet, export_soft_targets
+from kdtrain.feedforward import init_feedforward
 from kdtrain.formats import (
     read_checkpoint,
     read_dataset,
     read_run_record,
     read_soft_targets,
+    write_checkpoint,
     write_soft_targets,
 )
+from kdtrain.lstm import init_lstm
 
 CONFIG = {
     "task": {"seed": 7, "classes": 4, "feature_dim": 5, "min_frames": 8, "max_frames": 15,
@@ -270,6 +275,51 @@ def test_negative_seed_exits_2_before_out_exists(done, tmp_path, capsys):
         assert run(config, where, "--seed", "-1", "train-teacher") == 2
         assert capsys.readouterr().err.splitlines() == ["error: --seed must be at least 0, got -1"]
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parallel_below_one_exits_2(done, tmp_path, capsys, value):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns("student_*"))
+    capsys.readouterr()
+    assert run(config, copy, "train-student", "--parallel", value) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --parallel must be at least 1, got {value}"
+    ]
+    assert not list(copy.glob("student_*"))
+
+
+def test_noise_past_float32_exits_2_and_writes_nothing(tmp_path, capsys):
+    config = write_config(tmp_path / "loud.yaml", task={"noise_scale": 1e39})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(config, out, "generate-data") == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: noise_scale 1e+39 overflows float32"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command, model", [
+    (["eval", "--model"], init_feedforward([5, 8, 3], np.random.default_rng(5))),
+    (["eval", "--split", "cv", "--model"], init_feedforward([4, 8, 4], np.random.default_rng(5))),
+    (["variance-report", "--student"],
+     init_lstm(5, 3, layers=1, cells=6, projection=3, rng=np.random.default_rng(5))),
+], ids=["eval-K", "eval-D", "variance-report-K"])
+def test_model_that_does_not_fit_the_split_exits_3(done, tmp_path, capsys, command, model):
+    config, out = done
+    path = tmp_path / "misfit.dkdm"
+    write_checkpoint(path, model)
+    copy = shutil.copytree(out, tmp_path / "copy")
+    capsys.readouterr()
+    assert run(config, copy, *command, str(path)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: model of D={model.input_dim}, K={model.output_dim} does not fit a split of "
+        "D=5, K=4"
+    ]
+    assert captured.out == ""
 
 
 def test_config_digest_mismatch_on_out_exits_2(done, tmp_path):

@@ -10,6 +10,7 @@ import yaml
 
 from kdtrain.cli import main
 from kdtrain.config import DEFAULTS, load_config
+from kdtrain.datasets import SynthTaskSpec
 from kdtrain.errors import ConfigError
 from kdtrain.training import TrainingSchedule
 
@@ -24,6 +25,10 @@ def test_defaults_validate():
     assert cfg.values == DEFAULTS
     assert cfg.schedule.max_epochs == DEFAULTS["train"]["max_epochs"]
     assert cfg.schedule == TrainingSchedule()
+
+
+def test_default_task_is_the_spec_default():
+    assert load_config(None).task == SynthTaskSpec()
 
 
 def test_unknown_nested_key_names_its_dotted_path(tmp_path):
@@ -137,6 +142,8 @@ def test_every_key_refuses_a_wrong_type_at_load(tmp_path, capsys, section, name,
     ("teacher: {hidden: [16, 0]}", "'teacher.hidden[1]' must be at least 1, got 0"),
     ("teacher: {learning_rate: 0}", "teacher schedule: learning rate must be positive"),
     ("student: {cells: 0}", "'student.cells' must be at least 1, got 0"),
+    ("student: {cells: 4, projection: 8}",
+     "'student.projection' must be at most student.cells, got 8 > 4"),
     ("train: {momentum: 1.5}", "train schedule: momentum must be in [0, 1), got 1.5"),
     ("train: {clip_norm: -5}", "train schedule: clip_norm must be positive, got -5.0"),
     ("train: {clip_norm: 0}", "train schedule: clip_norm must be positive, got 0.0"),

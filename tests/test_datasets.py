@@ -1,6 +1,7 @@
 """Synthetic task generator and dataset invariants."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def loop_blend_means(labels, centroids, blend):
 
 def small_spec(**kw):
     base = dict(
-        num_classes=4, feature_dim=3, train_utterances=12, cv_utterances=4,
+        num_classes=4, feature_dim=3, noise_scale=1.0, train_utterances=12, cv_utterances=4,
         test_utterances=4, min_frames=10, max_frames=20,
     )
     base.update(kw)
@@ -104,7 +105,8 @@ class TestGenerateSynth:
             "5d44e1fc23350cb679aaec45e9ca06504835cf6ef37bb62d363567f54c699583",
         ),
         "desk_like": (
-            dict(num_classes=6, feature_dim=3, self_loop=0.7, noise_corr=0.85, blend_frames=2,
+            dict(num_classes=6, feature_dim=3, self_loop=0.7, noise_scale=1.0, noise_corr=0.85,
+                 blend_frames=2,
                  min_frames=5, max_frames=25, train_utterances=10, cv_utterances=3,
                  test_utterances=3),
             "0534d5cebe81d5e087fc3a26b2425d3ce031a33a1eebdb86ebde19a1234266e2",
@@ -148,6 +150,15 @@ class TestGenerateSynth:
                 labels = ds.labels[utterance_slice(ds, i)]
                 assert np.all(labels == labels[0])
 
+    @pytest.mark.parametrize("noise", [1e39, 1e300])
+    def test_noise_past_float32_is_refused_without_a_warning(self, noise):
+        """1e39 passes float32's range only in the cast, 1e300 passes
+        float64's in the noise product; neither warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="noise_scale .* overflows float32"):
+                generate_synth(small_spec(noise_scale=noise), 13)
+
     def test_disjoint_utterance_ids(self):
         s = generate_synth(small_spec(), 13)
         ids = [u.uid for ds in (s.train, s.cv, s.test) for u in ds.utterances]
@@ -156,7 +167,8 @@ class TestGenerateSynth:
     def test_empirical_transitions_match_matrix(self):
         """Counted class-transition frequencies over ~1e5 frames agree
         with the chain's transition matrix within 0.02 per entry."""
-        spec = SynthTaskSpec(train_utterances=1800, cv_utterances=1, test_utterances=1)
+        spec = SynthTaskSpec(noise_scale=1.0, train_utterances=1800, cv_utterances=1,
+                             test_utterances=1)
         s = generate_synth(spec, 17)
         ds = s.train
         assert ds.total_frames >= 90_000
@@ -216,7 +228,8 @@ class TestGenerateSynth:
         these lengths), the features the noise is added to, the smaller
         splits and index arrays. No padded or chunked copy of the noise
         and no full-size temporary."""
-        spec = SynthTaskSpec(train_utterances=400, cv_utterances=20, test_utterances=20)
+        spec = SynthTaskSpec(noise_scale=1.0, train_utterances=400, cv_utterances=20,
+                             test_utterances=20)
         splits, peak = traced_peak(generate_synth, spec, 5)
         assert peak <= 3 * splits.train.features.size * 8
 

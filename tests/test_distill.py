@@ -65,9 +65,19 @@ class TestDistillLossSpec:
             DistillLossSpec("kaldi")
 
     def test_t2_scaling_defaults_on_only_for_reg(self):
-        """T^2 scaling and soft-target use are per-regime constants."""
+        """Soft-target use is a per-regime constant, and "soft" at T = 2
+        is unscaled: of the soft objectives only "reg" multiplies by T^2
+        (pinned by test_reg_mode_gradient_linearity)."""
+        rng = np.random.default_rng(15)
+        logits = rng.uniform(-3, 3, size=(6, 4))
+        soft = softmax_rows(rng.uniform(-2, 2, size=(6, 4)), 2.0)
+        losses, grads, _, _ = frame_objective(
+            DistillLossSpec("soft", temperature=2.0), logits, rng.integers(0, 4, size=6), soft
+        )
+        want_losses, want_grads, _ = batch_soft_loss(logits, soft, 2.0, False)
+        np.testing.assert_array_equal(losses, want_losses)
+        np.testing.assert_array_equal(grads, want_grads)
         modes = tuple(REGIMES)
-        assert [m for m in modes if REGIMES[m].scale_t2] == ["reg"]
         assert [m for m in modes if REGIMES[m].soft_targets] == [
             "soft", "reg", "pretrain"
         ]
@@ -263,7 +273,7 @@ class TestLogitMatching:
 @pytest.fixture(scope="module")
 def tiny_task():
     spec = SynthTaskSpec(
-        num_classes=4, feature_dim=5, train_utterances=10, cv_utterances=3,
+        num_classes=4, feature_dim=5, noise_scale=1.0, train_utterances=10, cv_utterances=3,
         test_utterances=3, min_frames=8, max_frames=15,
     )
     return generate_synth(spec, 99).train

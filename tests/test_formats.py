@@ -41,7 +41,7 @@ def written(write, obj, path) -> bytes:
 @pytest.fixture(scope="module")
 def dataset():
     spec = SynthTaskSpec(
-        num_classes=5, feature_dim=4, train_utterances=8, cv_utterances=2,
+        num_classes=5, feature_dim=4, noise_scale=1.0, train_utterances=8, cv_utterances=2,
         test_utterances=2, min_frames=6, max_frames=12,
     )
     return generate_synth(spec, 31).train
@@ -268,7 +268,7 @@ class TestCheckpointFormat:
         assert "architecture" in str(exc.value)
 
     def test_truncation_reports_offset(self, tmp_path):
-        p = init_lstm(3, 2, cells=3, projection=2, rng=np.random.default_rng(39))
+        p = init_lstm(3, 2, layers=1, cells=3, projection=2, rng=np.random.default_rng(39))
         raw = written(write_checkpoint, p, tmp_path / "ok.dkdm")
         path = tmp_path / "t.dkdm"
         path.write_bytes(raw[:-8])
@@ -285,7 +285,7 @@ class TestCheckpointFormat:
         """The header holds one C and P for every layer, so a model whose
         layers differ cannot be written in a form that reads back."""
         p = init_lstm(5, 4, layers=2, cells=6, projection=3, rng=np.random.default_rng(40))
-        q = init_lstm(3, 4, cells=5, projection=3, rng=np.random.default_rng(40))
+        q = init_lstm(3, 4, layers=1, cells=5, projection=3, rng=np.random.default_rng(40))
         p.layers[1] = q.layers[0]
         with pytest.raises(FormatError, match="do not fit its header"):
             write_checkpoint(tmp_path / "x.dkdm", p)

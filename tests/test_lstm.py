@@ -223,7 +223,7 @@ class TestForward:
 
     def test_projection_wider_than_cells_rejected(self):
         with pytest.raises(ShapeError):
-            init_lstm(3, 2, cells=2, projection=4, rng=np.random.default_rng(14))
+            init_lstm(3, 2, layers=1, cells=2, projection=4, rng=np.random.default_rng(14))
 
 
 class TestBackward:
@@ -329,7 +329,7 @@ class TestBackward:
 
 class TestInit:
     def test_forget_bias_and_bounds(self):
-        p = init_lstm(6, 4, cells=8, projection=4, rng=np.random.default_rng(25))
+        p = init_lstm(6, 4, layers=1, cells=8, projection=4, rng=np.random.default_rng(25))
         layer = p.layers[0]
         np.testing.assert_array_equal(layer.bias[8:16], np.ones(8))
         np.testing.assert_array_equal(layer.bias[:8], np.zeros(8))
@@ -338,15 +338,15 @@ class TestInit:
             assert np.all(np.abs(a) <= 0.05)
 
     def test_reproducible_from_seed(self):
-        a = init_lstm(4, 3, rng=np.random.default_rng(26))
-        b = init_lstm(4, 3, rng=np.random.default_rng(26))
+        a = init_lstm(4, 3, layers=1, cells=64, projection=32, rng=np.random.default_rng(26))
+        b = init_lstm(4, 3, layers=1, cells=64, projection=32, rng=np.random.default_rng(26))
         for x, y in zip(a.arrays(), b.arrays()):
             np.testing.assert_array_equal(x, y)
 
     def test_generator_is_required_by_keyword(self):
         """No unseeded default: every init is reproducible from its rng."""
         with pytest.raises(TypeError, match="rng"):
-            init_lstm(4, 3)
+            init_lstm(4, 3, layers=1, cells=8, projection=4)
         with pytest.raises(TypeError):
             init_lstm(4, 3, 1, 8, 4, np.random.default_rng(26))
 

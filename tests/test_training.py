@@ -32,11 +32,11 @@ from kdtrain.training import (
 @pytest.fixture(scope="module")
 def task():
     spec = SynthTaskSpec(
-        num_classes=4, feature_dim=5, train_utterances=10, cv_utterances=4,
+        num_classes=4, feature_dim=5, noise_scale=1.0, train_utterances=10, cv_utterances=4,
         test_utterances=2, min_frames=6, max_frames=14,
     )
     splits = generate_synth(spec, 21)
-    student = init_lstm(5, 4, cells=6, projection=3, rng=np.random.default_rng(22))
+    student = init_lstm(5, 4, layers=1, cells=6, projection=3, rng=np.random.default_rng(22))
     teacher = init_feedforward([5, 8, 4], np.random.default_rng(23), scale=0.5)
     return splits.train, splits.cv, student, teacher
 
@@ -168,6 +168,11 @@ def test_iter_batches_covers_every_frame_once_within_utterances(streams, window)
         assert slot_utts[s] == list(order[s::streams])
 
 
+def test_iter_batches_of_an_empty_order_yields_nothing():
+    split = frame_indexed_split([4, 2])
+    assert list(iter_batches(split, np.array([], dtype=np.int64), 3, 5)) == []
+
+
 def newbob_run(task, monkeypatch, mode="hard", threshold=0.1, max_halvings=2, switch=None,
                cv_script=None, max_epochs=8):
     """An FF model trained under the newbob rule. Returns the record and,
@@ -269,7 +274,7 @@ def ragged_split():
     group of 22, a row count at which the K = 10 head rounds differently
     from a 32-row GEMM."""
     spec = SynthTaskSpec(
-        num_classes=10, feature_dim=20, train_utterances=150, cv_utterances=1,
+        num_classes=10, feature_dim=20, noise_scale=1.0, train_utterances=150, cv_utterances=1,
         test_utterances=1, min_frames=1, max_frames=80,
     )
     split = generate_synth(spec, 31).train
@@ -296,7 +301,7 @@ def long_ragged_split():
     whole group of 32 and a last group of 8."""
     b = training._EVAL_BLOCK
     spec = SynthTaskSpec(
-        num_classes=10, feature_dim=20, train_utterances=40, cv_utterances=1,
+        num_classes=10, feature_dim=20, noise_scale=1.0, train_utterances=40, cv_utterances=1,
         test_utterances=1, min_frames=2 * b + 1, max_frames=5 * b - 1,
     )
     split = generate_synth(spec, 33).train
