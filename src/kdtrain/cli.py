@@ -170,15 +170,19 @@ def cmd_export_soft(cfg: ExperimentConfig, out: Path, seeds, temperatures,
     for seed in seeds:
         path = Path(teacher_path) if teacher_path else out / f"{_teacher_stem(seed)}.dkdm"
         teacher = _read_teacher(path, "; run train-teacher first")
-        for t, soft in zip(temperatures, export_soft_targets(teacher, train, temperatures)):
+        # one set at a time: each is written and dropped before it is read
+        # back and before the next one is made
+        for soft in export_soft_targets(teacher, train, temperatures):
+            t, frames = soft.temperature, soft.frame_count
             target = out / _soft_name(t, seed)
             write_soft_targets(target, soft)
+            del soft
             violations = validate_soft_targets(read_soft_targets(target), train)
             if violations:
                 raise FormatError(
                     f"exported soft targets {target} failed self-validation: {violations[0]}"
                 )
-            print(f"wrote {target.name} (T={_tfmt(t)}, {soft.frame_count} frames)")
+            print(f"wrote {target.name} (T={_tfmt(t)}, {frames} frames)")
 
 
 def _read_soft(out: Path, t: float, seed: int):

@@ -184,6 +184,11 @@ def load_config(path: str | None = None) -> ExperimentConfig:
     empty = [k for k in ("regimes", "temperatures", "seeds") if not v[f"experiment.{k}"]]
     if empty:
         raise ConfigError(f"experiment key(s) {empty} must not be empty")
+    for k in ("regimes", "temperatures", "seeds"):
+        listed = v[f"experiment.{k}"]
+        repeated = sorted({x for x in listed if listed.count(x) > 1})
+        if repeated:  # each value names its own cells and files; 2 and 2.0 are one
+            raise ConfigError(f"config key 'experiment.{k}' lists {repeated} more than once")
     for regime in v["experiment.regimes"]:
         for t in v["experiment.temperatures"]:
             _checked("experiment", DistillLossSpec, regime, v["experiment.alpha"], t)

@@ -17,7 +17,9 @@ SeedSequence, so a given seed reproduces the same dataset on any
 platform. Features are held as the 32-bit float values that the DKDS
 format stores, so file round trips are bit-exact and a split takes half
 the memory of float64. Every computation on them is float64: each
-consumer widens only the rows it uses into a buffer it owns.
+consumer widens only the rows it uses into a buffer it owns. The
+generator itself computes in float64 one chunk of whole utterances at a
+time (``_CHUNK_FRAMES``) and casts each chunk into the float32 split.
 """
 
 from bisect import bisect_right
@@ -198,16 +200,52 @@ def _blend_means(
     return vectors[row]
 
 
-def _generate_split(
+# The most frames whose float64 noise, AR(1) walk and blend are held at
+# once: a chunk is whole utterances, so it is at most this many frames,
+# or one utterance of up to max_frames.
+_CHUNK_FRAMES = 8192
+
+
+def _finish_chunk(
     spec: SynthTaskSpec,
-    count: int,
-    first_uid: int,
+    eps: np.ndarray,
+    lengths: np.ndarray,
+    labels: np.ndarray,
     centroids: np.ndarray,
-    transitions: np.ndarray,
     noise: np.ndarray,
-    rng: np.random.Generator,
-) -> FrameDataset:
-    k = spec.num_classes
+) -> np.ndarray:
+    """The float64 features of whole consecutive utterances of
+    ``lengths`` frames, from their white noise ``eps`` (overwritten) and
+    their ``labels``, both on the utterances' own flat frame axis.
+
+    Every step is utterance-local, so finishing a split in chunks gives
+    the bits of finishing it whole.
+    """
+    starts = np.cumsum(lengths) - lengths
+    if spec.noise_corr > 0.0:
+        # AR(1) walk with unit marginal variance, reset per utterance:
+        # step t moves frame t of every utterance longer than t
+        rho = spec.noise_corr
+        mix = np.sqrt(1.0 - rho * rho)
+        for t in range(1, lengths.max()):
+            rows = starts[lengths > t] + t
+            eps[rows] = rho * eps[rows - 1] + mix * eps[rows]
+    first = np.zeros(labels.size, dtype=bool)
+    first[starts] = True
+    eps *= noise[labels][:, np.newaxis]
+    features = _blend_means(labels, first, centroids, spec.blend_frames)
+    features += eps
+    return features
+
+
+def _draw_chunks(spec: SynthTaskSpec, count: int, transitions: np.ndarray, eps: np.ndarray,
+                 rng: np.random.Generator):
+    """Draw ``count`` utterances in the generator's order, each its
+    length, then its label chain, then its white noise into ``eps`` on
+    the flat frame axis. Yield (lengths, labels) for each chunk of whole
+    utterances whose noise fills the front of ``eps``, before drawing
+    the noise of an utterance that would not fit; the caller finishes
+    the chunk's noise before it asks for the next."""
     # rng.choice(k, p=row) draws one rng.random() and bisects the row's
     # normalised cumulative sum to the right; drawing an utterance's
     # chain with one rng.random(length - 1) call does the same with the
@@ -217,48 +255,55 @@ def _generate_split(
         cdf = row.cumsum()
         cdf /= cdf[-1]
         cdfs.append(cdf.tolist())
-    utterances = []
-    label_chunks = []
-    # white noise of all utterances on the flat frame axis, drawn in
-    # place; pages past the last frame drawn are never touched
-    eps = np.empty((count * spec.max_frames, spec.feature_dim))
-    offset = 0
-    for i in range(count):
+    lengths, chunk, fill = [], [], 0
+    for _ in range(count):
         length = int(rng.integers(spec.min_frames, spec.max_frames + 1))
-        label = int(rng.integers(0, k))
+        if fill + length > eps.shape[0]:
+            yield lengths, np.concatenate(chunk)
+            lengths, chunk, fill = [], [], 0
+        label = int(rng.integers(0, spec.num_classes))
         labels = [label]
         for u in rng.random(length - 1).tolist():
             label = bisect_right(cdfs[label], u)
             labels.append(label)
-        label_chunks.append(np.array(labels, dtype=np.int64))
-        rng.standard_normal(out=eps[offset : offset + length])
-        utterances.append(Utterance(first_uid + i, offset, length))
-        offset += length
+        chunk.append(np.array(labels, dtype=np.int64))
+        rng.standard_normal(out=eps[fill : fill + length])
+        lengths.append(length)
+        fill += length
+    yield lengths, np.concatenate(chunk)
 
-    eps = eps[:offset]
-    starts = np.array([u.offset for u in utterances])
-    lengths = np.array([u.count for u in utterances])
-    if spec.noise_corr > 0.0:
-        # AR(1) walk with unit marginal variance, reset per utterance:
-        # step t moves frame t of every utterance longer than t
-        rho = spec.noise_corr
-        mix = np.sqrt(1.0 - rho * rho)
-        for t in range(1, lengths.max()):
-            rows = starts[lengths > t] + t
-            eps[rows] = rho * eps[rows - 1] + mix * eps[rows]
 
-    labels = np.concatenate(label_chunks)
-    first = np.zeros(labels.size, dtype=bool)
-    first[starts] = True
+def _generate_split(
+    spec: SynthTaskSpec,
+    count: int,
+    first_uid: int,
+    centroids: np.ndarray,
+    transitions: np.ndarray,
+    noise: np.ndarray,
+    rng: np.random.Generator,
+) -> FrameDataset:
+    # the float32 features of all utterances on the flat frame axis;
+    # pages past the last frame written are never touched
+    features = np.empty((count * spec.max_frames, spec.feature_dim), dtype=np.float32)
+    # one chunk's float64 noise; each chunk is finished and cast into
+    # ``features`` before the next one is drawn over it
+    eps = np.empty((max(_CHUNK_FRAMES, spec.max_frames), spec.feature_dim))
+    utterances = []
+    label_chunks = []
+    done = 0
     with np.errstate(over="ignore"):  # refused below, so numpy need not warn
-        eps *= noise[labels][:, np.newaxis]
-        features = _blend_means(labels, first, centroids, spec.blend_frames)
-        features += eps
-        del eps
-        features = features.astype(np.float32)
+        for lengths, labels in _draw_chunks(spec, count, transitions, eps, rng):
+            for length in lengths:
+                utterances.append(Utterance(first_uid + len(utterances), done, length))
+                done += length
+            rows = slice(done - labels.size, done)
+            features[rows] = _finish_chunk(spec, eps[: labels.size], np.array(lengths), labels,
+                                           centroids, noise)
+            label_chunks.append(labels)
+    features = features[:done]
     if not np.isfinite([features.min(), features.max()]).all():
         raise InvalidArgumentError(f"noise_scale {spec.noise_scale} overflows float32")
-    return FrameDataset(utterances, features, labels, k)
+    return FrameDataset(utterances, features, np.concatenate(label_chunks), spec.num_classes)
 
 
 def generate_synth(spec: SynthTaskSpec, seed: int) -> SplitSet:
@@ -282,7 +327,9 @@ def validate_soft_targets(soft_set, dataset: FrameDataset) -> list[str]:
 
     Returns a list of human-readable violations; empty means valid.
     Never mutates either argument. A NaN or infinite entry is outside
-    [0, 1]. Row normalization is checked at the 1e-6 storage tolerance.
+    [0, 1]. Row normalization is checked at the 1e-6 storage tolerance,
+    on float64 sums of the rows as they are held (float32 rows as read
+    sum to the bits of their widened values).
     """
     violations = []
     if soft_set.frame_count != dataset.total_frames:
@@ -301,7 +348,7 @@ def validate_soft_targets(soft_set, dataset: FrameDataset) -> list[str]:
     for idx in bad_range[:10]:
         violations.append(f"row {idx} has entries outside [0, 1]")
     with np.errstate(invalid="ignore"):  # inf - inf in a row sums to NaN
-        sums = rows.sum(axis=1)
+        sums = rows.sum(axis=1, dtype=np.float64)
     bad_norm = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     for idx in bad_norm[:10]:
         violations.append(f"row {idx} sums to {sums[idx]:.9f}, expected 1 within 1e-6")

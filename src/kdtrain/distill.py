@@ -10,6 +10,7 @@ accuracy scoring always use T = 1.
 """
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -75,9 +76,12 @@ class SoftTargetSet:
     """Per-frame teacher posteriors recorded at a fixed temperature.
 
     ``rows`` is (frame_count x K). ``teacher_digest`` is the SHA-256 of
-    the teacher checkpoint that generated the rows. Freshly generated
-    rows normalize to 1e-9; rows loaded from 32-bit storage are only
-    guaranteed to 1e-6.
+    the teacher checkpoint that generated the rows. Rows given as
+    float32, as a DKST file stores them and ``read_soft_targets`` reads
+    them, are held as they are; any other rows, such as freshly
+    generated ones, are held as float64. Consumers widen the rows they
+    compute with. Freshly generated rows normalize to 1e-9; rows loaded
+    from 32-bit storage are only guaranteed to 1e-6.
     """
 
     temperature: float
@@ -85,7 +89,9 @@ class SoftTargetSet:
     teacher_digest: bytes = field(repr=False, default=b"\x00" * 32)
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
+        self.rows = np.asarray(self.rows)
+        if self.rows.dtype != np.float32:
+            self.rows = self.rows.astype(np.float64, copy=False)
         if self.rows.ndim != 2 or self.rows.shape[1] < 2:
             raise ShapeError(f"rows must be (frames x K), K >= 2; got {self.rows.shape}")
         if not self.temperature > 0:
@@ -104,15 +110,21 @@ class SoftTargetSet:
 
 def export_soft_targets(
     teacher: FeedForwardParams, dataset, temperatures: list[float]
-) -> list[SoftTargetSet]:
+) -> Iterator[SoftTargetSet]:
     """Run the teacher once over every frame of ``dataset`` (manifest
-    order) and record its temperature-softened posteriors, one set per
-    entry of ``temperatures``, in that order."""
+    order) and yield its temperature-softened posteriors, one float64 set
+    per entry of ``temperatures``, in that order.
+
+    The teacher runs when the first set is requested, and each set is
+    made only when it is requested; so a caller that drops each set
+    before it asks for the next holds the logits and one set at a time.
+    """
     from .formats import checkpoint_digest  # local import; formats imports this module
 
     logits = ff_forward(teacher, dataset.features)
     digest = checkpoint_digest(teacher)
-    return [SoftTargetSet(t, softmax_rows(logits, t), digest) for t in temperatures]
+    for t in temperatures:
+        yield SoftTargetSet(t, softmax_rows(logits, t), digest)
 
 
 # ---------------------------------------------------------------------------

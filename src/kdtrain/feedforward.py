@@ -10,9 +10,11 @@ only; the teacher's input is data, so no gradient is formed for it.
 
 A forward that records no activations runs in near-equal row blocks of
 at most ``_BLOCK_ROWS`` rows, so its hidden matrices are block-high, not
-split-high. It never runs a full block plus a short tail: on OpenBLAS a
-block of a few dozen rows rounds rows apart from the one-block product,
-by 1e-15 to 1e-14 (measured).
+split-high: more than 512 rows run as blocks of 256 to 512 rows. It
+never runs a full block plus a short tail. On OpenBLAS, blocks of 128
+rows or more gave the bits of 2048-row blocks on the three desk splits,
+for a trained and a random 20-128-128-10 teacher; blocks of 96 rows or
+fewer differed by up to 1.2e-14 (measured).
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ShapeError
 from .numeric import require_finite
 
-_BLOCK_ROWS = 2048  # the most rows a forward without ``hidden`` runs at once
+_BLOCK_ROWS = 512  # the most rows a forward without ``hidden`` runs at once
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), evaluated as
@@ -131,8 +133,9 @@ def ff_forward(
 
     When ``hidden`` is a list, the rows run as one block and each hidden
     layer's (frames x width) output is appended to it, input side first:
-    the activations ``ff_backward`` needs. Otherwise they run in row
-    blocks (see the module docstring). The features may be float32, as
+    the activations ``ff_backward`` needs. Otherwise they run in
+    near-equal blocks of 256 to 512 rows, or as one block of fewer rows
+    (see the module docstring). The features may be float32, as
     a dataset holds them: each block is widened to float64 on its own,
     so no float64 copy of the whole matrix is made. The arithmetic is
     float64 either way, and the features are never written to.

@@ -23,9 +23,11 @@ Every writer goes through ``write_atomic``: a temp file beside the
 target, then a rename, so a killed or failing write never leaves a
 partial file under the target's name. Readers decode from a memoryview
 of the file's bytes, so each payload is copied once, by the ``astype``
-that converts it into a new array owning its memory. DKDS features stay
-float32, as stored, so a dataset is written and read without a
-conversion copy; a non-finite feature is refused at read.
+that converts it into a new array owning its memory. DKDS features and
+DKST rows stay float32, as stored, so a dataset or a soft-target set is
+written and read without a conversion copy; a non-finite feature is
+refused at read. A freshly exported soft-target set holds float64 rows,
+which the writer rounds to float32.
 """
 
 import hashlib
@@ -192,16 +194,15 @@ def write_soft_targets(path, s: SoftTargetSet) -> None:
 
 
 def read_soft_targets(path) -> SoftTargetSet:
-    """Load a DKST1 file. Rows are the stored 32-bit values promoted to
-    float64; they are not renormalized, so write-read-write is
-    byte-stable."""
+    """Load a DKST1 file. Rows are the stored float32 values; they are
+    not renormalized, so write-read-write is byte-stable."""
     r = _Reader(Path(path).read_bytes(), f"soft targets {path}")
     _check_header(r, SOFT_MAGIC)
     temperature, frames, k = r.unpack("dQI")
     if not temperature > 0 or k < 2:
         raise FormatError(f"{r.what}: bad header T={temperature}, K={k}", offset=6)
     digest = bytes(r.take(32))
-    rows = r.array("<f4", (frames, k), np.float64)
+    rows = r.array("<f4", (frames, k), np.float32)
     r.expect_end()
     return SoftTargetSet(temperature, rows, digest)
 

@@ -36,5 +36,9 @@ def softmax_rows(logits, temperature: float) -> np.ndarray:
     if not temperature > 0:
         raise InvalidArgumentError(f"temperature must be positive, got {temperature}")
     require_finite(z, "logits")
-    e = np.exp((z - z.max(axis=1, keepdims=True)) / temperature)
-    return e / e.sum(axis=1, keepdims=True)
+    # the ops of exp((z - max) / T) / sum, in that order, in one buffer
+    e = z - z.max(axis=1, keepdims=True)
+    e /= temperature
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e

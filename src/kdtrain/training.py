@@ -139,7 +139,9 @@ def iter_batches(
     Slot s consumes order[s::streams] in sequence; windows never span an
     utterance boundary, and an utterance's final short window is
     zero-padded with its mask cleared. ``targets``, when given, is a
-    (total_frames x K) matrix cut into windows alongside the features.
+    (total_frames x K) matrix cut into windows alongside the features;
+    float32 rows, as a soft-target file holds them, are widened into the
+    batch's float64 rows.
     """
     # slot s's windows in order, each (first frame, frame count, starts an utterance)
     plans = [
@@ -243,12 +245,16 @@ class GradVarianceAccumulator:
         return cls(np.zeros(k), np.zeros(k), np.zeros(k), 0)
 
     def add(self, t_rows: np.ndarray, y_rows: np.ndarray) -> None:
+        """Accumulate (frames x K) targets and float64 outputs; float32
+        targets, as a soft-target file holds them, sum in float64 to the
+        bits of their widened values."""
         if t_rows.shape != y_rows.shape or t_rows.shape[1] != self.sum_t.size:
             raise ShapeError("target/output rows disagree with accumulator width")
-        self.sum_t += t_rows.sum(axis=0)
+        self.sum_t += t_rows.sum(axis=0, dtype=np.float64)
         self.sum_y += y_rows.sum(axis=0)
         d = t_rows - y_rows
-        self.sum_sq_diff += (d * d).sum(axis=0)
+        d *= d
+        self.sum_sq_diff += d.sum(axis=0)
         self.count += t_rows.shape[0]
 
     def report(self) -> "VarianceReport":

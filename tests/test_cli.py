@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from test_training import traced_peak
 
 from kdtrain import cli, formats, training
 from kdtrain.cli import main
@@ -170,6 +171,30 @@ def test_one_export_over_four_temperatures_equals_four_single_exports(tmp_path, 
     assert capsys.readouterr().out == printed
     assert len(digests(together)) == 3 + 4 + 2  # datasets, soft sets, teacher and record
     assert digests(alone) == digests(together)
+
+
+def test_export_soft_holds_one_float64_set_at_a_time(tmp_path, capsys):
+    """export-soft at four temperatures writes, drops and reads back each
+    set before it makes the next, so its traced peak is at most the train
+    split, the teacher's logits and two float64 sets' bytes (the set
+    with its float32 copy while it is written, or the file and its rows
+    while they are read back); not one set per temperature."""
+    config = write_config(
+        tmp_path / "wide.yaml",
+        task={"classes": 40, "feature_dim": 8, "min_frames": 30, "max_frames": 80,
+              "train_utterances": 100},
+        experiment={"temperatures": [1.0, 2.0, 5.0, 10.0]},
+    )
+    out = tmp_path / "out"
+    assert run(config, out, "generate-data") == 0
+    teacher = out / "random_teacher.dkdm"
+    write_checkpoint(teacher, init_feedforward([8, 16, 40], np.random.default_rng(17), scale=0.5))
+    train = read_dataset(out / "dataset_train.dkds")
+    split = train.features.nbytes + train.labels.nbytes
+    one_set = train.total_frames * 40 * 8
+    code, peak = traced_peak(run, config, out, "export-soft", "--teacher", str(teacher))
+    assert code == 0 and len(list(out.glob("soft_T*_s3.dkst"))) == 4
+    assert peak <= split + 3 * one_set + 2**18
 
 
 def test_parallel_students_equal_the_serial_run(done, tmp_path):
@@ -382,7 +407,7 @@ def test_misfit_soft_targets_exit_3_before_any_epoch(done, tmp_path, capsys, cas
     soft_path = copy / "soft_T2_s3.dkst"
     if case == "cv split":
         teacher = read_checkpoint(copy / "teacher_s3.dkdm")
-        bad = export_soft_targets(teacher, read_dataset(copy / "dataset_cv.dkds"), [2.0])[0]
+        bad = next(export_soft_targets(teacher, read_dataset(copy / "dataset_cv.dkds"), [2.0]))
     else:
         soft = read_soft_targets(soft_path)
         rows = soft.rows.copy()

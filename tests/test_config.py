@@ -129,6 +129,10 @@ def test_every_key_refuses_a_wrong_type_at_load(tmp_path, capsys, section, name,
     ("experiment: {seeds: 3}", "'experiment.seeds' must be a list, got 3"),
     ("experiment: {seeds: [1, 2.5]}", "'experiment.seeds[1]' must be an int, got 2.5"),
     ("experiment: {seeds: []}", "['seeds'] must not be empty"),
+    ("experiment: {seeds: [1, 3, 1]}", "'experiment.seeds' lists [1] more than once"),
+    ("experiment: {regimes: [soft, soft]}", "'experiment.regimes' lists ['soft'] more than once"),
+    ("experiment: {temperatures: [2.0, 1, 2]}",
+     "'experiment.temperatures' lists [2.0] more than once"),
     ("experiment: {regimes: hard}", "'experiment.regimes' must be a list, got 'hard'"),
     ("experiment: {regimes: [hard, kaldi]}", "experiment: unknown mode 'kaldi'"),
     ("experiment: {temperatures: [2, 0]}", "experiment: temperature must be positive"),

@@ -8,6 +8,7 @@ import pytest
 from test_training import traced_peak
 
 from kdtrain.datasets import (
+    _CHUNK_FRAMES,
     FrameDataset,
     SynthTaskSpec,
     Utterance,
@@ -96,13 +97,22 @@ class TestGenerateSynth:
     # generator's dtype when they were pinned) then labels.tobytes(),
     # train, cv, test, at seed 11; recorded from the per-frame reference
     # generator (one rng.choice per label, one AR(1) step per utterance
-    # frame), so a faster generator must reproduce it byte for byte
+    # frame), so a faster generator must reproduce it byte for byte.
+    # "ar1_wide_blend_chunks" was recorded from the generator that
+    # finished each split whole, and its train split (19,638 frames, 182
+    # 1-frame utterances) spans three chunks.
     PINNED = {
         "ar1_wide_blend": (
             dict(num_classes=4, feature_dim=5, self_loop=0.5, noise_scale=[0.5, 1.0, 2.0, 0.1],
                  noise_corr=0.5, blend_frames=3, min_frames=1, max_frames=15,
                  train_utterances=12, cv_utterances=4, test_utterances=4),
             "5d44e1fc23350cb679aaec45e9ca06504835cf6ef37bb62d363567f54c699583",
+        ),
+        "ar1_wide_blend_chunks": (
+            dict(num_classes=4, feature_dim=5, self_loop=0.5, noise_scale=[0.5, 1.0, 2.0, 0.1],
+                 noise_corr=0.5, blend_frames=3, min_frames=1, max_frames=15,
+                 train_utterances=2500, cv_utterances=4, test_utterances=4),
+            "ca6d4cb25132dbe32160afaace98d60a46cd8ef0d8fefbc22c5e7652518f55c2",
         ),
         "desk_like": (
             dict(num_classes=6, feature_dim=3, self_loop=0.7, noise_scale=1.0, noise_corr=0.85,
@@ -122,6 +132,14 @@ class TestGenerateSynth:
             h.update(ds.features.astype(np.float64).tobytes())
             h.update(ds.labels.tobytes())
         assert h.hexdigest() == want
+
+    def test_chunked_pin_spans_several_chunks(self):
+        """The chunked pin crosses chunk boundaries with 1-frame
+        utterances on the train split."""
+        kwargs, _ = self.PINNED["ar1_wide_blend_chunks"]
+        train = generate_synth(SynthTaskSpec(**kwargs), 11).train
+        assert train.total_frames > 2 * _CHUNK_FRAMES
+        assert sum(u.count == 1 for u in train.utterances) > 100
 
     def test_deterministic_given_seed(self):
         a = generate_synth(small_spec(), 123)
@@ -223,15 +241,30 @@ class TestGenerateSynth:
 
     def test_generation_holds_each_split_once(self):
         """The traced peak is at most 3x the largest split's features
-        in float64, the dtype they are generated in: its noise buffer
-        (room for count x max_frames frames, 1.45x the frames drawn at
-        these lengths), the features the noise is added to, the smaller
-        splits and index arrays. No padded or chunked copy of the noise
-        and no full-size temporary."""
+        in float64, the bound of a generator that finishes each split
+        whole in float64: its noise buffer (room for count x max_frames
+        frames, 1.45x the frames drawn at these lengths), the features
+        the noise is added to, the smaller splits and index arrays. No
+        padded copy of the noise and no full-size temporary."""
         spec = SynthTaskSpec(noise_scale=1.0, train_utterances=400, cv_utterances=20,
                              test_utterances=20)
         splits, peak = traced_peak(generate_synth, spec, 5)
         assert peak <= 3 * splits.train.features.size * 8
+
+    def test_generation_holds_the_float32_splits_and_one_chunk(self):
+        """The traced peak is at most each split's float32 buffer (room
+        for count x max_frames frames), 16 bytes of labels per frame (the
+        utterances' arrays and their concatenation) and one chunk's
+        float64 noise and features, with 1 MiB for the manifests and
+        index arrays; not a float64 copy of a split."""
+        counts = (1000, 50, 50)
+        spec = SynthTaskSpec(feature_dim=40, noise_scale=1.0, train_utterances=counts[0],
+                             cv_utterances=counts[1], test_utterances=counts[2])
+        splits, peak = traced_peak(generate_synth, spec, 5)
+        buffers = sum(counts) * spec.max_frames * spec.feature_dim * 4
+        frames = sum(ds.total_frames for ds in splits)
+        chunk = 2 * _CHUNK_FRAMES * spec.feature_dim * 8
+        assert peak <= buffers + 16 * frames + chunk + 2**20 < splits.train.features.size * 8 * 2
 
     def test_noise_corr_makes_consecutive_noise_similar(self):
         flat = generate_synth(small_spec(noise_corr=0.0, blend_frames=0), 21)

@@ -21,10 +21,11 @@ from kdtrain.distill import (
     one_hot_rows,
 )
 from kdtrain.errors import InvalidArgumentError, ShapeError
-from kdtrain.feedforward import FeedForwardParams, ff_forward, init_feedforward
+from kdtrain.feedforward import _BLOCK_ROWS, FeedForwardParams, ff_forward, init_feedforward
 from kdtrain.formats import checkpoint_digest
 from kdtrain.numeric import softmax_rows
 from param_vectors import finite_diff_check
+from test_training import traced_peak
 
 # T^2-scaled soft gradient and loss for z=[.5,-.2,-.3], v=[1,0,-1]
 # (teacher posteriors taken at the same T), from 50-digit evaluation
@@ -284,12 +285,12 @@ class TestExportSoftTargets:
         teacher = FeedForwardParams(
             [np.zeros((6, 5)), np.zeros((4, 6))], [np.zeros(6), np.zeros(4)]
         )
-        soft = export_soft_targets(teacher, tiny_task, [1.0])[0]
+        soft = next(export_soft_targets(teacher, tiny_task, [1.0]))
         np.testing.assert_allclose(soft.rows, 0.25, rtol=1e-15)
 
     def test_frame_count_and_temperature_recorded(self, tiny_task):
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(7))
-        soft = export_soft_targets(teacher, tiny_task, [2.0])[0]
+        soft = next(export_soft_targets(teacher, tiny_task, [2.0]))
         assert soft.frame_count == tiny_task.total_frames
         assert soft.temperature == 2.0
         assert soft.teacher_digest == checkpoint_digest(teacher)
@@ -297,7 +298,7 @@ class TestExportSoftTargets:
     def test_rows_match_composed_oracle(self, tiny_task):
         """Rows equal the softmax of ff_forward logits, frame by frame."""
         teacher = init_feedforward([5, 6, 4], np.random.default_rng(8), scale=0.7)
-        soft = export_soft_targets(teacher, tiny_task, [2.0])[0]
+        soft = next(export_soft_targets(teacher, tiny_task, [2.0]))
         logits = ff_forward(teacher, tiny_task.features)
         for idx in (0, 1, tiny_task.total_frames - 1):
             np.testing.assert_allclose(
@@ -325,17 +326,40 @@ class TestExportSoftTargets:
         teacher = init_feedforward([5, 8, 8, 4], np.random.default_rng(12), scale=0.7)
         temperatures = [1.0, 2.0, 5.0, 10.0]
         logits = ff_forward(teacher, tiny_task.features)
-        sets = export_soft_targets(teacher, tiny_task, temperatures)
+        sets = list(export_soft_targets(teacher, tiny_task, temperatures))
         assert len(sets) == len(temperatures)
         for t, soft in zip(temperatures, sets):
             assert soft.temperature == t
             np.testing.assert_array_equal(soft.rows, softmax_rows(logits, t))
             assert soft.teacher_digest == checkpoint_digest(teacher)
 
+    def test_sets_dropped_one_at_a_time_hold_the_logits_and_one_set(self):
+        """A consumer that drops each set before it asks for the next
+        holds the teacher's logits and one float64 set at a time, besides
+        the softmax's finiteness mask and two column vectors and one row
+        block of the forward; not one set per temperature."""
+        spec = SynthTaskSpec(num_classes=40, feature_dim=8, noise_scale=1.0,
+                             train_utterances=100, cv_utterances=1, test_utterances=1)
+        split = generate_synth(spec, 5).train
+        teacher = init_feedforward([8, 16, 40], np.random.default_rng(13), scale=0.5)
+
+        def drop_each(temperatures):
+            sums = []
+            for soft in export_soft_targets(teacher, split, temperatures):
+                sums.append(float(soft.rows.sum()))
+                del soft
+            return sums
+
+        sums, peak = traced_peak(drop_each, [1.0, 2.0, 5.0, 10.0])
+        n = split.total_frames
+        one_set = n * 40 * 8
+        assert len(sums) == 4
+        assert peak <= 2 * one_set + n * 40 + 2 * n * 8 + _BLOCK_ROWS * (8 + 16) * 8 + 2**17
+
     def test_higher_temperature_rows_have_higher_entropy(self, tiny_task):
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(9), scale=0.8)
-        s1 = export_soft_targets(teacher, tiny_task, [1.0])[0]
-        s2 = export_soft_targets(teacher, tiny_task, [2.0])[0]
+        s1 = next(export_soft_targets(teacher, tiny_task, [1.0]))
+        s2 = next(export_soft_targets(teacher, tiny_task, [2.0]))
         h1 = np_entropy_rows(s1.rows)
         h2 = np_entropy_rows(s2.rows)
         assert np.all(h2 >= h1)
@@ -345,12 +369,20 @@ class TestExportSoftTargets:
         """Distilling at T = 1 and evaluating at the teacher's own logits
         gives exactly zero gradient."""
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(10), scale=0.6)
-        soft = export_soft_targets(teacher, tiny_task, [1.0])[0]
+        soft = next(export_soft_targets(teacher, tiny_task, [1.0]))
         logits = ff_forward(teacher, tiny_task.features)
         _, grads, _, _ = frame_objective(
             DistillLossSpec("soft", temperature=1.0), logits, tiny_task.labels, soft.rows
         )
         np.testing.assert_array_equal(grads, np.zeros_like(grads))
+
+    def test_soft_target_set_holds_float32_rows_as_given(self):
+        """Float32 rows stay float32, without a copy; other rows are
+        held as float64."""
+        rows = np.full((3, 2), 0.5, dtype=np.float32)
+        assert SoftTargetSet(1.0, rows).rows is rows
+        for given in ([[0.5, 0.5]], np.full((3, 2), 0.5, dtype=np.float16), np.ones((3, 2), int)):
+            assert SoftTargetSet(1.0, given).rows.dtype == np.float64
 
     def test_soft_target_set_validation(self):
         with pytest.raises(ShapeError):

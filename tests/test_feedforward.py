@@ -132,7 +132,7 @@ class TestForward:
         x = rng.normal(size=(33, 5))
         np.testing.assert_array_equal(ff_forward(p, x), reference_forward(p, x))
 
-    @pytest.mark.parametrize("rows", [8_092, 16_406, 16_648, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [8_092, 16_406, 16_648, 2_049, _BLOCK_ROWS + 1])
     def test_row_blocks_bit_equal_one_block(self, rows):
         """Without ``hidden`` the rows run in near-equal blocks of at most
         _BLOCK_ROWS, and every logit of the 20-128-128-10 teacher at the

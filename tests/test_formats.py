@@ -181,7 +181,7 @@ class TestDatasetFormat:
 class TestSoftTargetFormat:
     def test_write_read_write_is_byte_stable(self, dataset, tmp_path):
         teacher = init_feedforward([4, 6, 5], np.random.default_rng(33))
-        soft = export_soft_targets(teacher, dataset, [2.0])[0]
+        soft = next(export_soft_targets(teacher, dataset, [2.0]))
         p1 = tmp_path / "a.dkst"
         write_soft_targets(p1, soft)
         loaded = read_soft_targets(p1)
@@ -193,12 +193,25 @@ class TestSoftTargetFormat:
 
     def test_rows_survive_storage_at_f32_precision(self, dataset, tmp_path):
         teacher = init_feedforward([4, 6, 5], np.random.default_rng(34))
-        soft = export_soft_targets(teacher, dataset, [1.0])[0]
+        soft = next(export_soft_targets(teacher, dataset, [1.0]))
         p = tmp_path / "s.dkst"
         write_soft_targets(p, soft)
         loaded = read_soft_targets(p)
         np.testing.assert_allclose(loaded.rows, soft.rows, atol=1e-7)
         assert np.abs(loaded.rows.sum(axis=1) - 1.0).max() < 1e-6
+
+    def test_read_rows_are_the_stored_float32_values(self, dataset, tmp_path):
+        """A fresh set holds float64 rows; a read set holds the float32
+        values its file stores, in half the bytes."""
+        teacher = init_feedforward([4, 6, 5], np.random.default_rng(36))
+        soft = next(export_soft_targets(teacher, dataset, [2.0]))
+        p = tmp_path / "s.dkst"
+        write_soft_targets(p, soft)
+        loaded = read_soft_targets(p)
+        assert soft.rows.dtype == np.float64
+        assert loaded.rows.dtype == np.float32 and loaded.rows.flags.c_contiguous
+        assert loaded.rows.tobytes() == soft.rows.astype(np.float32).tobytes()
+        assert 2 * loaded.rows.nbytes == soft.rows.nbytes
 
     def test_truncation_rejected(self, dataset, tmp_path):
         soft = SoftTargetSet(1.0, np.full((dataset.total_frames, 5), 0.2))

@@ -124,6 +124,24 @@ class TestSoftmaxTemperature:
             p = softmax1(z, 1e6)
             assert np.abs(p - 1.0 / k).max() < 1e-3
 
+    @pytest.mark.parametrize("case", ["random", "saturated"])
+    def test_one_buffer_gives_the_expression_bits(self, case):
+        """The result equals exp((z - max) / T) / sum, computed with a
+        fresh array per op, bit for bit; saturated rows underflow to
+        exact zeros."""
+        rng = np.random.default_rng(43)
+        z = rng.normal(0.0, 5.0, size=(2_000, 10))
+        if case == "saturated":
+            z[::3] *= 400.0
+            z[1::3, 0] = 1e4
+        for t in (0.3, 1.0, 2.0, 10.0):
+            e = np.exp((z - z.max(axis=1, keepdims=True)) / t)
+            want = e / e.sum(axis=1, keepdims=True)
+            got = softmax_rows(z, t)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if case == "saturated":
+            assert (softmax_rows(z, 1.0) == 0.0).any()
+
     def test_rejects_bad_temperature(self):
         with pytest.raises(InvalidArgumentError):
             softmax1([1.0, 2.0], 0.0)

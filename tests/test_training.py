@@ -63,7 +63,7 @@ def assert_same_run(a, b):
 
 
 def test_pretrain_switch_at_epoch_zero_reproduces_hard(task):
-    soft = export_soft_targets(task[3], task[0], [2.0])[0]
+    soft = next(export_soft_targets(task[3], task[0], [2.0]))
     assert_same_run(
         train(task, "pretrain", 2.0, switch=0, soft_targets=soft), train(task, "hard")
     )
@@ -90,7 +90,7 @@ def test_soft_regimes_without_targets_rejected(task, mode):
 
 
 def test_soft_targets_at_another_temperature_rejected(task):
-    soft = export_soft_targets(task[3], task[0], [2.0])[0]
+    soft = next(export_soft_targets(task[3], task[0], [2.0]))
     with pytest.raises(AlignmentError, match="T=2"):
         train(task, "soft", 1.0, soft_targets=soft)
     train(task, "soft", 2.0, soft_targets=soft)
@@ -190,7 +190,7 @@ def newbob_run(task, monkeypatch, mode="hard", threshold=0.1, max_halvings=2, sw
         return step(params, grads, opt)
 
     monkeypatch.setattr(training, "sgd_momentum_step", recording_step)
-    soft = export_soft_targets(teacher, train_set, [2.0])[0]
+    soft = next(export_soft_targets(teacher, train_set, [2.0]))
     schedule = TrainingSchedule(
         learning_rate=0.04, max_epochs=max_epochs, improve_threshold=threshold,
         max_halvings=max_halvings, streams=3, window=5, pretrain_switch_epoch=switch,
@@ -450,7 +450,7 @@ def test_variance_report_matches_two_pass_oracle(task):
     logits = eval_logits(student, train_set)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
-    soft = export_soft_targets(teacher, train_set, [2.0])[0]
+    soft = next(export_soft_targets(teacher, train_set, [2.0]))
     hard_t = one_hot_rows(train_set.labels, 4)
     reports = gradient_variance_report(student, train_set, [None, soft])
     for rep, t in zip(reports, [hard_t, soft.rows], strict=True):
@@ -472,6 +472,31 @@ def test_one_variance_call_equals_one_call_per_target_set(task):
         (alone,) = gradient_variance_report(student, train_set, [targets])
         for f in dataclasses.fields(rep):
             np.testing.assert_array_equal(getattr(rep, f.name), getattr(alone, f.name))
+
+
+def test_float32_targets_give_the_bits_of_their_widened_values(task, tmp_path):
+    """The accumulator sums float32 target rows in float64, and a report
+    against a set read from its file (float32 rows) equals the report
+    against the same values held as float64, and so does training."""
+    train_set, _, student, teacher = task
+    path = tmp_path / "s.dkst"
+    write_soft_targets(path, next(export_soft_targets(teacher, train_set, [2.0])))
+    stored = read_soft_targets(path)
+    wide = SoftTargetSet(2.0, stored.rows.astype(np.float64), stored.teacher_digest)
+    assert stored.rows.dtype == np.float32 and wide.rows.dtype == np.float64
+    y = np.random.default_rng(38).dirichlet(np.ones(4), size=train_set.total_frames)
+    narrow_acc = training.GradVarianceAccumulator.for_classes(4)
+    wide_acc = training.GradVarianceAccumulator.for_classes(4)
+    narrow_acc.add(stored.rows, y)
+    wide_acc.add(wide.rows, y)
+    reports = [narrow_acc.report(), wide_acc.report(),
+               *gradient_variance_report(student, train_set, [stored, wide])]
+    for narrow, widened_rep in (reports[:2], reports[2:]):
+        for f in dataclasses.fields(narrow):
+            a, b = np.asarray(getattr(narrow, f.name)), np.asarray(getattr(widened_rep, f.name))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+    assert_same_run(train(task, "reg", 2.0, soft_targets=stored),
+                    train(task, "reg", 2.0, soft_targets=wide))
 
 
 SCHEDULE_OUT_OF_RANGE = {"max_epochs": 0, "streams": 0, "window": 0, "max_halvings": 0,
@@ -497,7 +522,7 @@ def test_clip_norm_must_be_positive(clip_norm):
 def misfit_soft_sets(train_set, teacher):
     """Soft-target sets that do not fit ``train_set``, each with the
     start of the violation validate_soft_targets reports for it."""
-    soft = export_soft_targets(teacher, train_set, [2.0])[0]
+    soft = next(export_soft_targets(teacher, train_set, [2.0]))
     off_norm = soft.rows.copy()
     off_norm[3] *= 0.5
     wide = np.full((train_set.total_frames, 5), 0.2)
