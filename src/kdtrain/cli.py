@@ -15,7 +15,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, temperature_name
 from .datasets import generate_synth, validate_soft_targets
 from .distill import REGIMES, DistillLossSpec, export_soft_targets
 from .errors import (
@@ -52,21 +52,17 @@ from .training import (
 _SPLITS = ("train", "cv", "test")
 
 
-def _tfmt(t: float) -> str:
-    return format(t, "g")
-
-
 def _teacher_stem(seed: int) -> str:
     return f"teacher_s{seed}"
 
 
 def _soft_name(t: float, seed: int) -> str:
-    return f"soft_T{_tfmt(t)}_s{seed}.dkst"
+    return f"soft_T{temperature_name(t)}_s{seed}.dkst"
 
 
 def _student_stem(regime: str, t: float, seed: int) -> str:
     if REGIMES[regime].soft_targets:
-        return f"student_{regime}_T{_tfmt(t)}_s{seed}"
+        return f"student_{regime}_T{temperature_name(t)}_s{seed}"
     return f"student_{regime}_s{seed}"
 
 
@@ -182,7 +178,7 @@ def cmd_export_soft(cfg: ExperimentConfig, out: Path, seeds, temperatures,
                 raise FormatError(
                     f"exported soft targets {target} failed self-validation: {violations[0]}"
                 )
-            print(f"wrote {target.name} (T={_tfmt(t)}, {frames} frames)")
+            print(f"wrote {target.name} (T={temperature_name(t)}, {frames} frames)")
 
 
 def _read_soft(out: Path, t: float, seed: int):
@@ -253,7 +249,7 @@ def cmd_variance_report(
             f"hard - {hard.total!r} {hard.first_term!r}",
         ]
         for t, rep in zip(cfg.temperatures, softs):
-            lines.append(f"soft {_tfmt(t)} {rep.total!r} {rep.first_term!r}")
+            lines.append(f"soft {temperature_name(t)} {rep.total!r} {rep.first_term!r}")
         text = "\n".join(lines) + "\n"
         write_atomic(out / f"variance_s{seed}.txt", [text.encode()])
         print(text, end="")
@@ -305,7 +301,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
     rows = [header, "-" * len(header)]
     for (model, regime, t), rs in sorted(groups.items(), key=sort_key):
         label = model if model == "teacher" else (
-            "student" if t is None else f"student-T{_tfmt(t)}"
+            "student" if t is None else f"student-T{temperature_name(t)}"
         )
         tr = _median([r.epochs[-1].train_accuracy for r in rs])
         cv = _median([r.epochs[-1].cv_accuracy for r in rs])
@@ -317,7 +313,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
     variance_files = sorted(out.glob("variance_s*.txt"))
     if variance_files:
         rows.append("")
-        rows.append("Gradient variance (fresh student vs teacher targets):")
+        rows.append("Gradient variance (student vs hard and teacher targets):")
         for vf in variance_files:
             rows.append(vf.read_text().rstrip())
     table = "\n".join(rows) + "\n"
@@ -364,6 +360,14 @@ def _dispatch(args) -> None:
         raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     if getattr(args, "parallel", 1) < 1:
         raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
+    temps = cfg.temperatures
+    if getattr(args, "temperature", None) is not None:
+        name = temperature_name(args.temperature)
+        clash = [t for t in temps if temperature_name(t) == name and t != args.temperature]
+        if clash:  # the two would read and write one another's files
+            raise ConfigError(f"--temperature {args.temperature!r} shares the name T{name} "
+                              f"with the configured temperature {clash[0]!r}")
+        temps = [args.temperature]
     out = Path(args.out)
     if args.command != "generate-data":  # which prepares --out once its splits exist
         _prepare_out(out, cfg)
@@ -373,14 +377,12 @@ def _dispatch(args) -> None:
     elif args.command == "train-teacher":
         cmd_train_teacher(cfg, out, seeds)
     elif args.command == "export-soft":
-        temps = [args.temperature] if args.temperature is not None else cfg.temperatures
         cmd_export_soft(cfg, out, seeds, temps, args.teacher)
     elif args.command == "train-student":
         regimes = [args.regime] if args.regime else cfg.regimes
         bad = [r for r in regimes if r not in REGIMES]
         if bad:
             raise ConfigError(f"unknown regime(s) {bad}")
-        temps = [args.temperature] if args.temperature is not None else cfg.temperatures
         cmd_train_student(cfg, out, regimes, temps, seeds, args.parallel)
     elif args.command == "eval":
         cmd_eval(cfg, out, args.model, args.split)

@@ -128,6 +128,11 @@ def _typed(values: dict) -> dict:
     return out
 
 
+def temperature_name(t: float) -> str:
+    """How file and cell names print a temperature: 6 significant digits."""
+    return format(t, "g")
+
+
 def _checked(rule: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, its range error a ConfigError."""
     try:
@@ -189,6 +194,12 @@ def load_config(path: str | None = None) -> ExperimentConfig:
         repeated = sorted({x for x in listed if listed.count(x) > 1})
         if repeated:  # each value names its own cells and files; 2 and 2.0 are one
             raise ConfigError(f"config key 'experiment.{k}' lists {repeated} more than once")
+    named = {}
+    for t in v["experiment.temperatures"]:
+        other = named.setdefault(temperature_name(t), t)
+        if other != t:
+            raise ConfigError(f"config key 'experiment.temperatures' lists {other!r} and {t!r}, "
+                              f"which share the name T{temperature_name(t)}")
     for regime in v["experiment.regimes"]:
         for t in v["experiment.temperatures"]:
             _checked("experiment", DistillLossSpec, regime, v["experiment.alpha"], t)

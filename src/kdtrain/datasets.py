@@ -327,9 +327,8 @@ def validate_soft_targets(soft_set, dataset: FrameDataset) -> list[str]:
 
     Returns a list of human-readable violations; empty means valid.
     Never mutates either argument. A NaN or infinite entry is outside
-    [0, 1]. Row normalization is checked at the 1e-6 storage tolerance,
-    on float64 sums of the rows as they are held (float32 rows as read
-    sum to the bits of their widened values).
+    [0, 1]. Row normalization is checked at the 1e-6 tolerance of the
+    float32 rows, on float64 sums of their widened values.
     """
     violations = []
     if soft_set.frame_count != dataset.total_frames:

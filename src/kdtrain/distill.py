@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError
-from .feedforward import FeedForwardParams, ff_forward
+from .feedforward import _BLOCK_ROWS, FeedForwardParams, ff_forward
 from .numeric import PROB_CLAMP_MIN, softmax_rows
 
 
@@ -75,13 +75,9 @@ class DistillLossSpec:
 class SoftTargetSet:
     """Per-frame teacher posteriors recorded at a fixed temperature.
 
-    ``rows`` is (frame_count x K). ``teacher_digest`` is the SHA-256 of
-    the teacher checkpoint that generated the rows. Rows given as
-    float32, as a DKST file stores them and ``read_soft_targets`` reads
-    them, are held as they are; any other rows, such as freshly
-    generated ones, are held as float64. Consumers widen the rows they
-    compute with. Freshly generated rows normalize to 1e-9; rows loaded
-    from 32-bit storage are only guaranteed to 1e-6.
+    ``rows`` (frame_count x K) holds the float32 values a DKST file stores,
+    rounding other dtypes once, so a set and its file train one student.
+    ``teacher_digest`` is the SHA-256 of the teacher checkpoint behind them.
     """
 
     temperature: float
@@ -89,9 +85,7 @@ class SoftTargetSet:
     teacher_digest: bytes = field(repr=False, default=b"\x00" * 32)
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows)
-        if self.rows.dtype != np.float32:
-            self.rows = self.rows.astype(np.float64, copy=False)
+        self.rows = np.asarray(self.rows, dtype=np.float32)
         if self.rows.ndim != 2 or self.rows.shape[1] < 2:
             raise ShapeError(f"rows must be (frames x K), K >= 2; got {self.rows.shape}")
         if not self.temperature > 0:
@@ -112,19 +106,27 @@ def export_soft_targets(
     teacher: FeedForwardParams, dataset, temperatures: list[float]
 ) -> Iterator[SoftTargetSet]:
     """Run the teacher once over every frame of ``dataset`` (manifest
-    order) and yield its temperature-softened posteriors, one float64 set
-    per entry of ``temperatures``, in that order.
+    order) and yield its temperature-softened posteriors, one set per
+    entry of ``temperatures``, in that order.
 
     The teacher runs when the first set is requested, and each set is
-    made only when it is requested; so a caller that drops each set
-    before it asks for the next holds the logits and one set at a time.
+    made only when it is requested, and not held here once yielded; so
+    a caller that drops each set holds the logits and one set at a time.
     """
     from .formats import checkpoint_digest  # local import; formats imports this module
 
     logits = ff_forward(teacher, dataset.features)
     digest = checkpoint_digest(teacher)
     for t in temperatures:
-        yield SoftTargetSet(t, softmax_rows(logits, t), digest)
+        yield SoftTargetSet(t, _float32_softmax(logits, t), digest)
+
+
+def _float32_softmax(logits: np.ndarray, t: float) -> np.ndarray:
+    """``softmax_rows(logits, t)`` as float32, in row blocks: the same bits."""
+    rows = np.empty(logits.shape, dtype=np.float32)
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        rows[lo : lo + _BLOCK_ROWS] = softmax_rows(logits[lo : lo + _BLOCK_ROWS], t)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,12 @@ The writers and ``checkpoint_digest`` consume those parts, so a payload
 is converted once and never joined on its way to a file or a hash.
 Every writer goes through ``write_atomic``: a temp file beside the
 target, then a rename, so a killed or failing write never leaves a
-partial file under the target's name. Readers decode from a memoryview
-of the file's bytes, so each payload is copied once, by the ``astype``
-that converts it into a new array owning its memory. DKDS features and
-DKST rows stay float32, as stored, so a dataset or a soft-target set is
-written and read without a conversion copy; a non-finite feature is
-refused at read. A freshly exported soft-target set holds float64 rows,
-which the writer rounds to float32.
+partial file under the target's name. Readers read each payload with
+``np.fromfile`` straight into the array that keeps it, so a read holds
+no payload twice; only DKDS labels are converted (u16 to int64). DKDS
+features and DKST rows stay float32, as stored, so a dataset or a
+soft-target set is written and read without a conversion copy; a
+non-finite feature is refused at read.
 """
 
 import hashlib
@@ -53,37 +52,42 @@ FORMAT_VERSION = 1
 
 
 class _Reader:
-    """Cursor over a file's bytes that reports offsets on underrun.
-    Slices are views of the bytes, so a payload is copied once: by the
-    ``astype`` that decodes it."""
+    """Cursor over an open file that reports offsets on underrun. Each
+    payload is read by ``np.fromfile`` into the array that keeps it."""
 
-    def __init__(self, data: bytes, what: str):
-        self.data = memoryview(data)
+    def __init__(self, f, what: str):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def _advance(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise FormatError(
                 f"{self.what}: truncated, needed {n} more bytes", offset=self.pos
             )
-        out = self.data[self.pos : self.pos + n]
         self.pos += n
-        return out
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        return self.f.read(n)
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
     def array(self, stored: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """The next ``shape`` values, stored as ``stored``, in a new
-        ``dtype`` array that owns its memory."""
-        raw = self.take(np.dtype(stored).itemsize * math.prod(shape))
-        return np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype)
+        """The next ``shape`` values, stored as ``stored``, as a ``dtype``
+        array that owns its memory (the array read, unless converted)."""
+        count = math.prod(shape)
+        self._advance(np.dtype(stored).itemsize * count)
+        out = np.fromfile(self.f, dtype=stored, count=count)
+        out.shape = shape
+        return out.astype(dtype, copy=False)
 
     def expect_end(self):
-        if self.pos != len(self.data):
+        if self.pos != self.size:
             raise FormatError(
-                f"{self.what}: {len(self.data) - self.pos} trailing bytes", offset=self.pos
+                f"{self.what}: {self.size - self.pos} trailing bytes", offset=self.pos
             )
 
 
@@ -108,7 +112,7 @@ def write_atomic(path, parts) -> None:
 
 
 def _check_header(r: _Reader, magic: bytes):
-    got = bytes(r.take(5))
+    got = r.take(5)
     if got != magic:
         raise FormatError(f"{r.what}: bad magic {got!r}, expected {magic!r}", offset=0)
     (version,) = r.unpack("B")
@@ -142,26 +146,25 @@ def write_dataset(path, ds: FrameDataset) -> None:
 
 
 def read_dataset(path) -> FrameDataset:
-    r = _Reader(Path(path).read_bytes(), f"dataset {path}")
-    _check_header(r, DATASET_MAGIC)
-    k, d, n_utt, n_frames = r.unpack("IIQQ")
-    if k < 2 or d < 1:
-        raise FormatError(f"{r.what}: degenerate header K={k}, D={d}", offset=6)
-    utterances = []
-    for i in range(n_utt):
-        uid, offset, count = r.unpack("QQQ")
-        utterances.append(Utterance(uid, offset, count))
-    labels_off = r.pos
-    labels = r.array("<u2", (n_frames,), np.int64)
-    bad = np.flatnonzero(labels >= k)
-    if bad.size:
-        raise FormatError(
-            f"{r.what}: label {labels[bad[0]]} >= K={k} at frame index {bad[0]}",
-            offset=labels_off + 2 * int(bad[0]),
-        )
-    features_off = r.pos
-    features = r.array("<f4", (n_frames, d), np.float32)
-    r.expect_end()
+    with open(path, "rb") as f:
+        r = _Reader(f, f"dataset {path}")
+        _check_header(r, DATASET_MAGIC)
+        k, d, n_utt, n_frames = r.unpack("IIQQ")
+        if k < 2 or d < 1:
+            raise FormatError(f"{r.what}: degenerate header K={k}, D={d}", offset=6)
+        manifest = r.array("<u8", (n_utt, 3), np.uint64).tolist()
+        labels_off = r.pos
+        labels = r.array("<u2", (n_frames,), np.int64)
+        bad = np.flatnonzero(labels >= k)
+        if bad.size:
+            raise FormatError(
+                f"{r.what}: label {labels[bad[0]]} >= K={k} at frame index {bad[0]}",
+                offset=labels_off + 2 * int(bad[0]),
+            )
+        features_off = r.pos
+        features = r.array("<f4", (n_frames, d), np.float32)
+        r.expect_end()
+    utterances = [Utterance(*row) for row in manifest]
     # min and max propagate NaN and reach any infinity, with no temporary
     if not (math.isfinite(features.min(initial=0.0)) and math.isfinite(features.max(initial=0.0))):
         first = int(np.flatnonzero(~np.isfinite(features))[0])
@@ -196,14 +199,15 @@ def write_soft_targets(path, s: SoftTargetSet) -> None:
 def read_soft_targets(path) -> SoftTargetSet:
     """Load a DKST1 file. Rows are the stored float32 values; they are
     not renormalized, so write-read-write is byte-stable."""
-    r = _Reader(Path(path).read_bytes(), f"soft targets {path}")
-    _check_header(r, SOFT_MAGIC)
-    temperature, frames, k = r.unpack("dQI")
-    if not temperature > 0 or k < 2:
-        raise FormatError(f"{r.what}: bad header T={temperature}, K={k}", offset=6)
-    digest = bytes(r.take(32))
-    rows = r.array("<f4", (frames, k), np.float32)
-    r.expect_end()
+    with open(path, "rb") as f:
+        r = _Reader(f, f"soft targets {path}")
+        _check_header(r, SOFT_MAGIC)
+        temperature, frames, k = r.unpack("dQI")
+        if not temperature > 0 or k < 2:
+            raise FormatError(f"{r.what}: bad header T={temperature}, K={k}", offset=6)
+        digest = r.take(32)
+        rows = r.array("<f4", (frames, k), np.float32)
+        r.expect_end()
     return SoftTargetSet(temperature, rows, digest)
 
 
@@ -239,16 +243,17 @@ def write_checkpoint(path, params) -> None:
 
 
 def read_checkpoint(path):
-    r = _Reader(Path(path).read_bytes(), f"checkpoint {path}")
-    _check_header(r, MODEL_MAGIC)
-    (tag,) = r.unpack("B")
-    if tag not in _MODELS:
-        raise FormatError(f"{r.what}: unknown architecture tag {tag}", offset=6)
-    cls = _MODELS[tag]
-    (n_layers,) = r.unpack("I")
-    shape = (n_layers, *r.unpack(f"{cls.header_dims(n_layers)}I"))
-    arrays = [r.array("<f8", s, np.float64) for s in cls.array_shapes(shape)]
-    r.expect_end()
+    with open(path, "rb") as f:
+        r = _Reader(f, f"checkpoint {path}")
+        _check_header(r, MODEL_MAGIC)
+        (tag,) = r.unpack("B")
+        if tag not in _MODELS:
+            raise FormatError(f"{r.what}: unknown architecture tag {tag}", offset=6)
+        cls = _MODELS[tag]
+        (n_layers,) = r.unpack("I")
+        shape = (n_layers, *r.unpack(f"{cls.header_dims(n_layers)}I"))
+        arrays = [r.array("<f8", s, np.float64) for s in cls.array_shapes(shape)]
+        r.expect_end()
     try:
         return cls.from_arrays(arrays)
     except ShapeError as exc:

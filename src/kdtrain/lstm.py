@@ -210,10 +210,6 @@ class _LayerCache:
     r_seq: np.ndarray  # (F + 1, S, P) projected outputs
 
     @property
-    def c(self) -> np.ndarray:
-        return self.c_seq[1:]
-
-    @property
     def r(self) -> np.ndarray:
         return self.r_seq[1:]
 

@@ -267,22 +267,18 @@ class GradVarianceAccumulator:
         return VarianceReport(
             per_class=per_class,
             total=float(per_class.sum()),
-            first_term_per_class=first,
             first_term=float(first.sum()),
-            count=self.count,
         )
 
 
 @dataclass
 class VarianceReport:
     """Accumulated gradient variance, per class and total, plus the
-    reduced first-term form sum_i E(t_i - y_i)^2."""
+    total of the reduced first-term form sum_i E(t_i - y_i)^2."""
 
     per_class: np.ndarray
     total: float
-    first_term_per_class: np.ndarray
     first_term: float
-    count: int
 
 
 def gradient_variance_report(

@@ -175,10 +175,10 @@ def test_one_export_over_four_temperatures_equals_four_single_exports(tmp_path, 
 
 def test_export_soft_holds_one_float64_set_at_a_time(tmp_path, capsys):
     """export-soft at four temperatures writes, drops and reads back each
-    set before it makes the next, so its traced peak is at most the train
-    split, the teacher's logits and two float64 sets' bytes (the set
-    with its float32 copy while it is written, or the file and its rows
-    while they are read back); not one set per temperature."""
+    float32 set before it makes the next, so its traced peak is at most
+    the train split and two float64 sets' bytes: the teacher's logits,
+    and one float32 set with the checks of its read-back rows; not one
+    set per temperature."""
     config = write_config(
         tmp_path / "wide.yaml",
         task={"classes": 40, "feature_dim": 8, "min_frames": 30, "max_frames": 80,
@@ -194,7 +194,7 @@ def test_export_soft_holds_one_float64_set_at_a_time(tmp_path, capsys):
     one_set = train.total_frames * 40 * 8
     code, peak = traced_peak(run, config, out, "export-soft", "--teacher", str(teacher))
     assert code == 0 and len(list(out.glob("soft_T*_s3.dkst"))) == 4
-    assert peak <= split + 3 * one_set + 2**18
+    assert peak <= split + 2 * one_set + 2**18
 
 
 def test_parallel_students_equal_the_serial_run(done, tmp_path):
@@ -280,6 +280,45 @@ def test_a_step_before_its_inputs_exits_2(tmp_path, capsys, argv, before, messag
     assert run(config, out, *argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["export-soft", "train-student"])
+def test_flag_temperature_named_like_a_configured_one_exits_2(done, tmp_path, capsys, command):
+    """2.0000001 is named T2, as the configured 2.0 is: the two would
+    share their files, so the flag is refused before anything is
+    written."""
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    fresh = tmp_path / "fresh"
+    capsys.readouterr()
+    for where in (copy, fresh):
+        assert run(config, where, command, "--temperature", "2.0000001") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --temperature 2.0000001 shares the name T2 "
+            "with the configured temperature 2.0"
+        ]
+    assert digests(copy) == digests(out)
+    assert sorted(p.name for p in copy.iterdir()) == sorted(p.name for p in out.iterdir())
+    assert not fresh.exists()
+
+
+def test_flag_temperature_with_a_name_of_its_own_is_used(done, tmp_path):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    assert run(config, copy, "export-soft", "--temperature", "3") == 0
+    assert run(config, copy, "train-student", "--regime", "soft", "--temperature", "3") == 0
+    assert read_soft_targets(copy / "soft_T3_s3.dkst").temperature == 3.0
+    assert read_run_record(copy / "student_soft_T3_s3.runrec").temperature == 3.0
+
+
+def test_report_does_not_call_a_trained_students_variance_fresh(done, tmp_path):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    student = copy / "student_reg_T2_s3.dkdm"
+    assert run(config, copy, "variance-report", "--student", str(student)) == 0
+    assert run(config, copy, "report") == 0
+    text = (copy / "report.txt").read_text()
+    assert "# student student_reg_T2_s3.dkdm sha256" in text and "fresh" not in text
 
 
 def test_unknown_regime_exits_2(done):

@@ -133,6 +133,8 @@ def test_every_key_refuses_a_wrong_type_at_load(tmp_path, capsys, section, name,
     ("experiment: {regimes: [soft, soft]}", "'experiment.regimes' lists ['soft'] more than once"),
     ("experiment: {temperatures: [2.0, 1, 2]}",
      "'experiment.temperatures' lists [2.0] more than once"),
+    ("experiment: {temperatures: [1.0000001, 2, 1.0000002]}",
+     "'experiment.temperatures' lists 1.0000001 and 1.0000002, which share the name T1"),
     ("experiment: {regimes: hard}", "'experiment.regimes' must be a list, got 'hard'"),
     ("experiment: {regimes: [hard, kaldi]}", "experiment: unknown mode 'kaldi'"),
     ("experiment: {temperatures: [2, 0]}", "experiment: temperature must be positive"),

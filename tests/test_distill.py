@@ -322,22 +322,28 @@ class TestExportSoftTargets:
         assert [s.temperature for s in sets] == [1.0, 2.0, 5.0, 10.0]
         assert sorted(calls) == ["checkpoint_digest", "ff_forward"]
 
-    def test_every_set_bit_equals_softmax_of_the_teacher_logits(self, tiny_task):
+    def test_every_set_bit_equals_softmax_of_the_teacher_logits(self):
+        """Each set holds the float32 rounding of the whole-split softmax,
+        although it is softmaxed in row blocks, a short last one too."""
+        spec = SynthTaskSpec(num_classes=4, feature_dim=5, noise_scale=1.0,
+                             train_utterances=30, cv_utterances=1, test_utterances=1)
+        split = generate_synth(spec, 12).train
+        assert split.total_frames > 3 * _BLOCK_ROWS and split.total_frames % _BLOCK_ROWS
         teacher = init_feedforward([5, 8, 8, 4], np.random.default_rng(12), scale=0.7)
         temperatures = [1.0, 2.0, 5.0, 10.0]
-        logits = ff_forward(teacher, tiny_task.features)
-        sets = list(export_soft_targets(teacher, tiny_task, temperatures))
+        logits = ff_forward(teacher, split.features)
+        sets = list(export_soft_targets(teacher, split, temperatures))
         assert len(sets) == len(temperatures)
         for t, soft in zip(temperatures, sets):
             assert soft.temperature == t
-            np.testing.assert_array_equal(soft.rows, softmax_rows(logits, t))
+            np.testing.assert_array_equal(soft.rows, softmax_rows(logits, t).astype(np.float32))
             assert soft.teacher_digest == checkpoint_digest(teacher)
 
     def test_sets_dropped_one_at_a_time_hold_the_logits_and_one_set(self):
         """A consumer that drops each set before it asks for the next
-        holds the teacher's logits and one float64 set at a time, besides
-        the softmax's finiteness mask and two column vectors and one row
-        block of the forward; not one set per temperature."""
+        holds the teacher's logits and one float32 set at a time, besides
+        one 512-row block of the softmax (its float64 rows, finiteness
+        mask and two column vectors); not one set per temperature."""
         spec = SynthTaskSpec(num_classes=40, feature_dim=8, noise_scale=1.0,
                              train_utterances=100, cv_utterances=1, test_utterances=1)
         split = generate_synth(spec, 5).train
@@ -352,9 +358,9 @@ class TestExportSoftTargets:
 
         sums, peak = traced_peak(drop_each, [1.0, 2.0, 5.0, 10.0])
         n = split.total_frames
-        one_set = n * 40 * 8
+        logits, one_set = n * 40 * 8, n * 40 * 4
         assert len(sums) == 4
-        assert peak <= 2 * one_set + n * 40 + 2 * n * 8 + _BLOCK_ROWS * (8 + 16) * 8 + 2**17
+        assert peak <= logits + one_set + _BLOCK_ROWS * (40 * 8 + 40 + 2 * 8) + 2**17
 
     def test_higher_temperature_rows_have_higher_entropy(self, tiny_task):
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(9), scale=0.8)
@@ -369,20 +375,22 @@ class TestExportSoftTargets:
         """Distilling at T = 1 and evaluating at the teacher's own logits
         gives exactly zero gradient."""
         teacher = init_feedforward([5, 8, 4], np.random.default_rng(10), scale=0.6)
-        soft = next(export_soft_targets(teacher, tiny_task, [1.0]))
         logits = ff_forward(teacher, tiny_task.features)
         _, grads, _, _ = frame_objective(
-            DistillLossSpec("soft", temperature=1.0), logits, tiny_task.labels, soft.rows
+            DistillLossSpec("soft", temperature=1.0), logits, tiny_task.labels,
+            softmax_rows(logits, 1.0),
         )
         np.testing.assert_array_equal(grads, np.zeros_like(grads))
 
     def test_soft_target_set_holds_float32_rows_as_given(self):
         """Float32 rows stay float32, without a copy; other rows are
-        held as float64."""
+        rounded to float32 once, as a DKST file stores them."""
         rows = np.full((3, 2), 0.5, dtype=np.float32)
         assert SoftTargetSet(1.0, rows).rows is rows
+        third = np.full((3, 2), 1 / 3)
+        assert SoftTargetSet(1.0, third).rows.tobytes() == third.astype(np.float32).tobytes()
         for given in ([[0.5, 0.5]], np.full((3, 2), 0.5, dtype=np.float16), np.ones((3, 2), int)):
-            assert SoftTargetSet(1.0, given).rows.dtype == np.float64
+            assert SoftTargetSet(1.0, given).rows.dtype == np.float32
 
     def test_soft_target_set_validation(self):
         with pytest.raises(ShapeError):

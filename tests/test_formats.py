@@ -201,17 +201,16 @@ class TestSoftTargetFormat:
         assert np.abs(loaded.rows.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_read_rows_are_the_stored_float32_values(self, dataset, tmp_path):
-        """A fresh set holds float64 rows; a read set holds the float32
-        values its file stores, in half the bytes."""
+        """A fresh set and the set read from its file hold the same
+        float32 values, byte for byte."""
         teacher = init_feedforward([4, 6, 5], np.random.default_rng(36))
         soft = next(export_soft_targets(teacher, dataset, [2.0]))
         p = tmp_path / "s.dkst"
         write_soft_targets(p, soft)
         loaded = read_soft_targets(p)
-        assert soft.rows.dtype == np.float64
-        assert loaded.rows.dtype == np.float32 and loaded.rows.flags.c_contiguous
-        assert loaded.rows.tobytes() == soft.rows.astype(np.float32).tobytes()
-        assert 2 * loaded.rows.nbytes == soft.rows.nbytes
+        for rows in (soft.rows, loaded.rows):
+            assert rows.dtype == np.float32 and rows.flags.c_contiguous
+        assert loaded.rows.tobytes() == soft.rows.tobytes()
 
     def test_truncation_rejected(self, dataset, tmp_path):
         soft = SoftTargetSet(1.0, np.full((dataset.total_frames, 5), 0.2))
@@ -432,9 +431,9 @@ class TestAtomicWrites:
 
 
 class TestZeroCopyReads:
-    """Readers decode from views of the file's bytes with one ``astype``
-    each, so every returned array is a fresh, writable array that owns
-    its memory: nothing keeps the file's bytes alive."""
+    """Readers read each payload with ``np.fromfile`` into the array
+    that keeps it, so every returned array is a fresh, writable array
+    that owns its memory, and no read holds a payload twice."""
 
     @staticmethod
     def _assert_owned(*arrays):
@@ -471,6 +470,24 @@ class TestZeroCopyReads:
         loaded, peak = traced_peak(read_dataset, path)
         result = loaded.features.nbytes + loaded.labels.nbytes
         assert peak <= path.stat().st_size + result + 2**16
+
+    def test_read_peak_is_the_result(self, tmp_path):
+        """A read's traced peak is the arrays it returns plus small
+        transients (the dataset's u16 labels before they are widened);
+        the file's bytes are never held."""
+        frames, dim = 20_000, 20
+        rng = np.random.default_rng(47)
+        ds = FrameDataset(
+            [Utterance(0, 0, 8_000), Utterance(1, 8_000, 12_000)],
+            rng.normal(size=(frames, dim)).astype(np.float32), rng.integers(0, 10, frames), 10,
+        )
+        write_dataset(tmp_path / "big.dkds", ds)
+        loaded, peak = traced_peak(read_dataset, tmp_path / "big.dkds")
+        assert peak <= loaded.features.nbytes + loaded.labels.nbytes + 2**16
+        write_soft_targets(tmp_path / "big.dkst",
+                           SoftTargetSet(1.0, rng.dirichlet(np.ones(10), size=frames)))
+        soft, peak = traced_peak(read_soft_targets, tmp_path / "big.dkst")
+        assert peak <= soft.rows.nbytes + 2**16
 
 
 def _record():

@@ -148,7 +148,7 @@ class TestForward:
         window = np.random.default_rng(2).normal(size=(1, 6, 2))
         logits, state, cache = lstm_forward_batch(p, window, zeros_state(p, 1))
         expected_cells = np.tanh(window[0] @ w_g[0])
-        np.testing.assert_allclose(cache.layers[0].c[:, 0, 0], expected_cells, atol=1e-12)
+        np.testing.assert_allclose(cache.layers[0].c_seq[1:, 0, 0], expected_cells, atol=1e-12)
         np.testing.assert_allclose(logits[0, :, 0], np.tanh(expected_cells), atol=1e-12)
 
     def test_matches_naive_recurrence(self):

@@ -44,18 +44,15 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
-def write_fresh_student(out: Path, cfg: dict, seed: int, name: str) -> None:
+def write_fresh_student(out: Path, config: Path, seed: int, name: str) -> None:
     """The untrained student checkpoint a ``fresh_student`` workload's
-    set-up writes: built the way ``variance-report`` builds one."""
+    set-up writes: the one ``variance-report`` builds."""
+    from kdtrain.cli import _init_student
+    from kdtrain.config import load_config
     from kdtrain.formats import read_dataset, write_checkpoint
-    from kdtrain.lstm import init_lstm
-    from kdtrain.training import derive_rng
 
     train = read_dataset(out / "dataset_train.dkds")
-    s = cfg["student"]
-    params = init_lstm(train.feature_dim, train.num_classes, layers=s["layers"],
-                       cells=s["cells"], projection=s["projection"],
-                       rng=derive_rng(seed, "init"))
+    params = _init_student(load_config(config), train, seed)
     write_checkpoint(out / f"{name.format(seed=seed)}.dkdm", params)
 
 
@@ -98,7 +95,7 @@ def main(argv=None) -> int:
         for call in workload.setup:
             run(call)
         if workload.fresh_student:
-            write_fresh_student(out, cfg, args.seed, FRESH_STUDENT)
+            write_fresh_student(out, config, args.seed, FRESH_STUDENT)
         for call in workload.passes:
             run(call)
     for path in sorted(out.iterdir()):
