@@ -19,7 +19,8 @@ format stores, so file round trips are bit-exact and a split takes half
 the memory of float64. Every computation on them is float64: each
 consumer widens only the rows it uses into a buffer it owns. The
 generator itself computes in float64 one chunk of whole utterances at a
-time (``_CHUNK_FRAMES``) and casts each chunk into the float32 split.
+time (``_CHUNK_FRAMES``): it adds the means into the chunk's noise in
+place and casts the chunk into the float32 split.
 """
 
 from bisect import bisect_right
@@ -153,57 +154,55 @@ def _resolve_task(spec: SynthTaskSpec, rng: np.random.Generator):
 
 def _blend_means(
     labels: np.ndarray, first: np.ndarray, centroids: np.ndarray, blend: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame mean vectors: the own-class centroid, blended toward the
     adjacent class within ``blend`` frames of a label transition.
 
     ``first`` marks the first frame of each utterance; no transition
-    crosses it. For each transition in frame order and each distance
-    k < ``blend``, the frame k before it (if it has the outgoing label)
-    and then the frame k after it (if it has the incoming label) take
-    weight 0.5 - (k + 0.5)/(2*blend) on the other label's centroid, and
-    a later write to a frame replaces an earlier one. So the frame right
-    at a boundary keeps weight 0.5 + 1/(4*blend) on its own class, and
-    weights ramp linearly back to 1 with distance.
+    crosses it. A frame k < ``blend`` frames before its segment's end
+    blends toward the next segment's class; otherwise, a frame k <
+    ``blend`` frames after its segment's start blends toward the
+    previous segment's class. Either takes weight 0.5 - (k + 0.5) /
+    (2*blend) on the other class, so the frame right at a boundary keeps
+    weight 0.5 + 1/(4*blend) on its own class, and weights ramp linearly
+    back to 1 with distance.
 
-    The result is the only frame-sized float array made: each distinct
-    (own, other, k) blend is computed once, and every frame gathers its
-    row from the centroids and those blends.
+    Returns (vectors, row): the distinct mean vectors, the centroids
+    first, and each frame's row into them. No frame-sized float array is
+    made: each distinct (own, other, k) blend is computed once.
     """
     if blend == 0:
-        return centroids[labels]
-    utt = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
+        return centroids, labels
+    seg_start = first.copy()
+    seg_start[1:] |= labels[1:] != labels[:-1]
+    starts = np.flatnonzero(seg_start)
     ends = np.append(starts[1:], labels.size)
-    j = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    j = np.repeat(j[~first[j]], blend)  # first frame of each new segment, per k
-    k = np.tile(np.arange(blend), j.size // blend)
-    # the writes in order: per (transition, k), the left frame, then the right one
-    target = np.stack([j - 1 - k, j + k], axis=1).ravel()
-    own = np.stack([labels[j - 1], labels[j]], axis=1).ravel()
-    other = np.stack([labels[j], labels[j - 1]], axis=1).ravel()
-    k = np.repeat(k, 2)
-    inside = (target >= np.repeat(starts[utt[j]], 2)) & (target < np.repeat(ends[utt[j]], 2))
-    hit = inside & (labels[np.where(inside, target, 0)] == own)
-    target, own, other, k = target[hit], own[hit], other[hit], k[hit]
-    _, from_end = np.unique(target[::-1], return_index=True)
-    last = target.size - 1 - from_end  # the write that stays
-    n = centroids.shape[0]
-    codes, which = np.unique((own[last] * n + other[last]) * blend + k[last],
-                             return_inverse=True)
+    seg = np.cumsum(seg_start) - 1
+    from_start = np.arange(labels.size) - starts[seg]
+    to_end = ends[seg] - 1 - starts[seg] - from_start
+    # a transition ends a segment, and starts one, unless an utterance does
+    toward_next = np.append(~first[starts[1:]], False)[seg] & (to_end < blend)
+    hit = np.flatnonzero(toward_next | (~first[starts][seg] & (from_start < blend)))
+    nxt = toward_next[hit]
+    other = labels[np.where(nxt, ends[seg[hit]], starts[seg[hit]] - 1)]
+    k = np.where(nxt, to_end[hit], from_start[hit])
+    classes = centroids.shape[0]
+    codes, which = np.unique((labels[hit] * classes + other) * blend + k, return_inverse=True)
     pairs, dist = np.divmod(codes, blend)
-    a, b = np.divmod(pairs, n)
+    a, b = np.divmod(pairs, classes)
     w = (0.5 - (dist + 0.5) / (2 * blend))[:, np.newaxis]
     vectors = np.concatenate([centroids, (1.0 - w) * centroids[a] + w * centroids[b]])
     row = labels.copy()
-    row[target[last]] = n + which
-    return vectors[row]
+    row[hit] = classes + which
+    return vectors, row
 
 
-# The most frames whose float64 noise, AR(1) walk and blend are held at
-# once: a chunk is whole utterances, so it is at most this many frames,
-# or one utterance of up to max_frames.
+# The most frames whose float64 noise and AR(1) walk are held at once:
+# a chunk is whole utterances, so it is at most this many frames, or one
+# utterance of up to max_frames. Its means are gathered and added into
+# the noise _ADD_ROWS frames at a time.
 _CHUNK_FRAMES = 8192
+_ADD_ROWS = 1024
 
 
 def _finish_chunk(
@@ -215,8 +214,8 @@ def _finish_chunk(
     noise: np.ndarray,
 ) -> np.ndarray:
     """The float64 features of whole consecutive utterances of
-    ``lengths`` frames, from their white noise ``eps`` (overwritten) and
-    their ``labels``, both on the utterances' own flat frame axis.
+    ``lengths`` frames, formed in place in their white noise ``eps``
+    from their ``labels``; both lie on the utterances' flat frame axis.
 
     Every step is utterance-local, so finishing a split in chunks gives
     the bits of finishing it whole.
@@ -233,9 +232,11 @@ def _finish_chunk(
     first = np.zeros(labels.size, dtype=bool)
     first[starts] = True
     eps *= noise[labels][:, np.newaxis]
-    features = _blend_means(labels, first, centroids, spec.blend_frames)
-    features += eps
-    return features
+    vectors, row = _blend_means(labels, first, centroids, spec.blend_frames)
+    # noise + mean in place: addition commutes, so these are the bits of mean + noise
+    for lo in range(0, labels.size, _ADD_ROWS):
+        eps[lo : lo + _ADD_ROWS] += vectors[row[lo : lo + _ADD_ROWS]]
+    return eps
 
 
 def _draw_chunks(spec: SynthTaskSpec, count: int, transitions: np.ndarray, eps: np.ndarray,

@@ -9,12 +9,14 @@ activations that forward recorded and returns the parameter gradients
 only; the teacher's input is data, so no gradient is formed for it.
 
 A forward that records no activations runs in near-equal row blocks of
-at most ``_BLOCK_ROWS`` rows, so its hidden matrices are block-high, not
-split-high: more than 512 rows run as blocks of 256 to 512 rows. It
-never runs a full block plus a short tail. On OpenBLAS, blocks of 128
-rows or more gave the bits of 2048-row blocks on the three desk splits,
-for a trained and a random 20-128-128-10 teacher; blocks of 96 rows or
-fewer differed by up to 1.2e-14 (measured).
+at most ``_BLOCK_ROWS`` rows (``row_blocks``), so its hidden matrices
+are block-high, not split-high: more than 512 rows run as blocks of 256
+to 512 rows. It never runs a full block plus a short tail. A teacher's
+scoring (``training.eval_logits``) runs the same blocks, one call each.
+On OpenBLAS, blocks of 128 rows or more gave the bits of 2048-row blocks
+on the three desk splits, for a trained and a random 20-128-128-10
+teacher; blocks of 96 rows or fewer differed by up to 1.2e-14
+(measured).
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,13 @@ from .errors import ShapeError
 from .numeric import require_finite
 
 _BLOCK_ROWS = 512  # the most rows a forward without ``hidden`` runs at once
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Near-equal slices of at most ``_BLOCK_ROWS`` rows covering ``n`` rows, in order."""
+    blocks = -(-n // _BLOCK_ROWS)
+    return [slice(k * n // blocks, (k + 1) * n // blocks) for k in range(blocks)]
+
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), evaluated as
@@ -146,10 +155,8 @@ def ff_forward(
             f"features shape {x.shape} does not match input dim {params.input_dim}"
         )
     n = x.shape[0]
-    blocks = 1 if hidden is not None else -(-n // _BLOCK_ROWS)
     logits = np.empty((n, params.output_dim))
-    for k in range(blocks):
-        rows = slice(k * n // blocks, (k + 1) * n // blocks)
+    for rows in [slice(0, n)] if hidden is not None else row_blocks(n):
         h = x[rows].astype(np.float64, copy=False)
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
             h = np.matmul(h, w.T)

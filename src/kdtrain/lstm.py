@@ -19,23 +19,25 @@ At desk sizes (S = 4 streams, C = 64 cells) a numpy call costs more
 than its arithmetic, so a step makes few calls per frame:
 
 - A window is transposed once to time-major (F, S, .), so frame t of
-  every stream is one contiguous block. Each layer's cache is
-  preallocated time-major and the time loop writes into it with
-  ``out=``. A frame keeps tanh of its g slice in ``tc[t]``, then one
-  in-place sigmoid call covers its whole (S, 4C) gate block, and the
-  kept tanh goes back into the g slice.
-- Each layer's input projection is one stacked ``np.matmul`` of the
-  (F, S, D_in) sequence by the 2-D weight, written into the gate cache
-  before the time loop; the logit head is one stacked ``np.matmul``
-  after the last layer. numpy runs a stacked product as one S-row GEMM
-  per frame slice, which rounds exactly like a per-frame product. It is
-  never one GEMM over the stacked (F * S) rows: that rounds a row
+  every stream is one contiguous block. A training forward preallocates
+  each layer's cache time-major and its time loop writes into it with
+  ``out=``; a scoring forward (``cache=False``) rewrites one frame of
+  gates, c, tanh(c) and m per layer and keeps only the projected
+  outputs whole. A frame keeps tanh of its g slice, then one in-place
+  sigmoid call covers its whole (S, 4C) gate block, and the kept tanh
+  goes back into the g slice.
+- A training forward's input projection is one stacked ``np.matmul`` of
+  the (F, S, D_in) sequence by the 2-D weight into the gate cache before
+  the time loop; a scoring forward's is one S-row product per frame.
+  The logit head is one stacked ``np.matmul`` after the last layer.
+  numpy runs a stacked product as one S-row GEMM per frame slice, which
+  rounds exactly like a per-frame product, so both give the same bits.
+  It is never one GEMM over the stacked (F * S) rows: that rounds a row
   differently on some BLAS builds (OpenBLAS at D = 32 by about 1e-14)
   and would break the bitwise split identity. Nor does the projection
   go through a separate (F, S, 4C) buffer: adding it back in the loop
   made a step slower than per-frame products at every shape measured.
-  The recurrent and projection products stay in the loop, as each
-  needs the frame before.
+  The recurrent and projection products, needing the frame before, stay in the loop.
 - Backward forms the gate-derivative factors for the whole window
   before its time loop, which then carries only the recurrence. After
   the loop, each weight gradient is one GEMM (one sum for the bias)
@@ -200,7 +202,8 @@ class _LayerCache:
     """One layer's activations over a window, time-major: frame t of
     stream s sits at [t, s], so each frame is one contiguous (S, .)
     block. The state arrays hold F + 1 frames; frame 0 is the incoming
-    state, so ``c_seq[t]`` is the cell state before frame t."""
+    state, so ``c_seq[t]`` is the cell state before frame t. A scoring
+    forward's holds one frame of all but ``x`` and ``r_seq``."""
 
     x: np.ndarray  # (F, S, D_in) layer input sequence
     gates: np.ndarray  # (F, S, 4C) activated gates [i, f, g, o]
@@ -236,51 +239,57 @@ def _check_state(params: LstmProjParams, state: RecurrentState, batch: int) -> N
             )
 
 
-def _layer_forward(layer: LstmLayerParams, seq: np.ndarray, c0, r0) -> _LayerCache:
+def _layer_forward(layer: LstmLayerParams, seq: np.ndarray, c0, r0, cache=True) -> _LayerCache:
     """Run one layer over a time-major (F, S, D_in) sequence from the
-    incoming state (c0, r0)."""
+    incoming state (c0, r0); without ``cache``, only ``r_seq`` is whole."""
     frames, s = seq.shape[:2]
     c_dim = layer.cell_dim
     i_, f_, g_, o_ = (slice(k * c_dim, (k + 1) * c_dim) for k in range(4))
+    held = frames if cache else 1
     lc = _LayerCache(
         x=seq,
-        gates=np.empty((frames, s, 4 * c_dim)),
-        c_seq=np.empty((frames + 1, s, c_dim)),
-        tc=np.empty((frames, s, c_dim)),
-        m=np.empty((frames, s, c_dim)),
+        gates=np.empty((held, s, 4 * c_dim)),
+        c_seq=np.empty((held + cache, s, c_dim)),
+        tc=np.empty((held, s, c_dim)),
+        m=np.empty((held, s, c_dim)),
         r_seq=np.empty((frames + 1, s, layer.proj_dim)),
     )
     gates, c_seq, r_seq, tc, m = lc.gates, lc.c_seq, lc.r_seq, lc.tc, lc.m
     c_seq[0] = c0
     r_seq[0] = r0
-    # the input projection of every frame, one S-row GEMM per frame slice
-    np.matmul(seq, layer.w_x.T, out=gates)
-    w_rt, w_pt, bias = layer.w_r.T, layer.w_p.T, layer.bias
+    w_xt, w_rt, w_pt, bias = layer.w_x.T, layer.w_r.T, layer.w_p.T, layer.bias
+    if cache:
+        # the input projection of every frame, one S-row GEMM per frame slice
+        np.matmul(seq, w_xt, out=gates)
     for t in range(frames):
-        a = gates[t]
+        h = t if cache else 0  # the row of frame t; c after it is c_seq[h + cache]
+        a = gates[h]
+        if not cache:
+            np.matmul(seq[t], w_xt, out=a)
         a += r_seq[t] @ w_rt
         a += bias
-        np.tanh(a[:, g_], out=tc[t])
+        np.tanh(a[:, g_], out=tc[h])
         sigmoid(a, out=a)
-        a[:, g_] = tc[t]
-        c_t = c_seq[t + 1]
-        np.multiply(a[:, f_], c_seq[t], out=c_t)
-        np.multiply(a[:, i_], tc[t], out=m[t])
-        c_t += m[t]
-        np.tanh(c_t, out=tc[t])
-        np.multiply(a[:, o_], tc[t], out=m[t])
-        np.matmul(m[t], w_pt, out=r_seq[t + 1])
+        a[:, g_] = tc[h]
+        c_t = c_seq[h + cache]
+        np.multiply(a[:, f_], c_seq[h], out=c_t)
+        np.multiply(a[:, i_], tc[h], out=m[h])
+        c_t += m[h]
+        np.tanh(c_t, out=tc[h])
+        np.multiply(a[:, o_], tc[h], out=m[h])
+        np.matmul(m[h], w_pt, out=r_seq[t + 1])
     return lc
 
 
 def lstm_forward_batch(
-    params: LstmProjParams, windows: np.ndarray, state_in: RecurrentState
-) -> tuple[np.ndarray, RecurrentState, LstmCache]:
+    params: LstmProjParams, windows: np.ndarray, state_in: RecurrentState, cache: bool = True
+) -> tuple[np.ndarray, RecurrentState, LstmCache | None]:
     """Forward S parallel streams over an (S, F, input_dim) window batch.
 
     Returns (logits (S, F, K), state_out, cache). Each frame is processed
     with the identical operation sequence regardless of F, preserving the
-    frame-split identity.
+    frame-split identity. ``cache=False`` (scoring) returns no cache
+    and gives the same bits.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.input_dim:
@@ -293,7 +302,7 @@ def lstm_forward_batch(
     layer_caches = []
     seq = np.ascontiguousarray(x.transpose(1, 0, 2))
     for li, layer in enumerate(params.layers):
-        lc = _layer_forward(layer, seq, state_in.cells[li], state_in.projected[li])
+        lc = _layer_forward(layer, seq, state_in.cells[li], state_in.projected[li], cache)
         layer_caches.append(lc)
         seq = lc.r
 
@@ -308,7 +317,7 @@ def lstm_forward_batch(
         require_finite(r, "LSTM projected state")
     state_out = RecurrentState(out_cells, out_proj)
     logits = np.ascontiguousarray(logits.transpose(1, 0, 2))
-    return logits, state_out, LstmCache(params, layer_caches, s, frames)
+    return logits, state_out, LstmCache(params, layer_caches, s, frames) if cache else None
 
 
 def _layer_backward(layer: LstmLayerParams, lc: _LayerCache, d_seq: np.ndarray, want_dx: bool):

@@ -24,7 +24,7 @@ from .errors import (
     NumericOverflowError,
     ShapeError,
 )
-from .feedforward import FeedForwardParams, ff_backward, ff_forward
+from .feedforward import FeedForwardParams, ff_backward, ff_forward, row_blocks
 from .formats import EpochStats, RunRecord
 from .lstm import LstmProjParams, lstm_backward_batch, lstm_forward_batch, zeros_state
 from .numeric import softmax_rows
@@ -39,8 +39,8 @@ _SEED_PURPOSES = {"init": 1, "shuffle": 2}
 # row count S of the GEMMs it runs in, not on its row position or its
 # neighbours, and this rule keeps every utterance in a group of the same
 # S as in manifest-order grouping; so its logits stay bit-identical.
-# A group runs in blocks of _EVAL_BLOCK frames, state carried, so its
-# activations are block-long; the frame-split identity keeps every bit.
+# A group runs in _EVAL_BLOCK-frame scoring forwards, state carried, so
+# only its projected outputs are block-long; the split identity keeps every bit.
 _EVAL_GROUP = 32
 _EVAL_BLOCK = 16
 
@@ -186,19 +186,25 @@ def _is_lstm(params) -> bool:
     return isinstance(params, LstmProjParams)
 
 
-def eval_logits(params, dataset: FrameDataset) -> np.ndarray:
-    """Per-frame logits over a whole dataset in manifest order, with
-    recurrent state zeroed at each utterance start; an LSTM runs each
-    utterance group in ``_EVAL_BLOCK``-frame blocks (see ``_EVAL_GROUP``).
-    A model whose input or output width is not the split's is AlignmentError."""
+def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
+    """Per-frame logits over a whole dataset, with recurrent state zeroed
+    at each utterance start; an LSTM runs each utterance group in
+    ``_EVAL_BLOCK``-frame blocks (see ``_EVAL_GROUP``). With ``each``,
+    each piece goes to ``each(rows, logits)`` in no set order (an LSTM's
+    utterances, a teacher's ``row_blocks``) and no split-sized array is
+    made; without it, the split's logits are returned. A model whose
+    input or output width is not the split's is AlignmentError."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
     if (params.input_dim, params.output_dim) != (dataset.feature_dim, dataset.num_classes):
         raise AlignmentError(f"model of D={params.input_dim}, K={params.output_dim} does not "
                              f"fit a split of D={dataset.feature_dim}, K={dataset.num_classes}")
+    out = np.empty((dataset.total_frames, params.output_dim)) if each is None else None
+    each = each or out.__setitem__
     if not _is_lstm(params):
-        return ff_forward(params, dataset.features)
-    out = np.empty((dataset.total_frames, params.output_dim))
+        for rows in row_blocks(dataset.total_frames):
+            each(rows, ff_forward(params, dataset.features[rows]))
+        return out
     utts = dataset.utterances
     whole = len(utts) - len(utts) % _EVAL_GROUP
     ordered = sorted(utts[:whole], key=lambda u: u.count) + utts[whole:]
@@ -212,17 +218,20 @@ def eval_logits(params, dataset: FrameDataset) -> np.ndarray:
         state = zeros_state(params, len(group))
         for lo in range(0, frames, _EVAL_BLOCK):
             block = slice(lo, lo + _EVAL_BLOCK)
-            logits[:, block], state = lstm_forward_batch(params, feats[:, block], state)[:2]
+            logits[:, block], state, _ = lstm_forward_batch(params, feats[:, block], state,
+                                                            cache=False)
         for s, u in enumerate(group):
-            out[u.offset : u.offset + u.count] = logits[s, : u.count]
+            each(slice(u.offset, u.offset + u.count), logits[s, : u.count])
     return out
 
 
 def frame_accuracy(params, dataset: FrameDataset) -> float:
-    """Percent of frames whose argmax logit (T = 1) matches the label."""
-    logits = eval_logits(params, dataset)
-    pred = np.argmax(logits, axis=1)
-    return 100.0 * float(np.mean(pred == dataset.labels))
+    """Percent of frames whose argmax logit (T = 1) matches the label,
+    counted over the pieces ``eval_logits`` hands over."""
+    correct = []
+    eval_logits(params, dataset, lambda rows, logits: correct.append(
+        int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels[rows]))))
+    return 100.0 * (sum(correct) / dataset.total_frames)
 
 
 # ---------------------------------------------------------------------------

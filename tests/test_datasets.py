@@ -8,6 +8,7 @@ import pytest
 from test_training import traced_peak
 
 from kdtrain.datasets import (
+    _ADD_ROWS,
     _CHUNK_FRAMES,
     FrameDataset,
     SynthTaskSpec,
@@ -69,17 +70,25 @@ class TestSynthTaskSpec:
 
 
 def loop_blend_means(labels, centroids, blend):
-    """Reference for one utterance: the frame-by-frame loop over each
-    transition and each distance k < blend."""
+    """Reference for one utterance, frame by frame: a frame k < blend
+    frames before its segment's end blends toward the next segment's
+    class; otherwise a frame k < blend frames after its segment's start
+    blends toward the previous segment's class."""
     means = centroids[labels].copy()
-    for j in np.flatnonzero(labels[1:] != labels[:-1]) + 1:
-        for k in range(blend):
-            w = 0.5 - (k + 0.5) / (2 * blend)
-            li, ri = j - 1 - k, j + k
-            if li >= 0 and labels[li] == labels[j - 1]:
-                means[li] = (1.0 - w) * centroids[labels[li]] + w * centroids[labels[j]]
-            if ri < labels.size and labels[ri] == labels[j]:
-                means[ri] = (1.0 - w) * centroids[labels[ri]] + w * centroids[labels[j - 1]]
+    for p in range(labels.size):
+        end = start = p
+        while end + 1 < labels.size and labels[end + 1] == labels[p]:
+            end += 1
+        while start > 0 and labels[start - 1] == labels[p]:
+            start -= 1
+        if end + 1 < labels.size and end - p < blend:
+            k, other = end - p, labels[end + 1]
+        elif start > 0 and p - start < blend:
+            k, other = p - start, labels[start - 1]
+        else:
+            continue
+        w = 0.5 - (k + 0.5) / (2 * blend)
+        means[p] = (1.0 - w) * centroids[labels[p]] + w * centroids[other]
     return means
 
 
@@ -100,19 +109,21 @@ class TestGenerateSynth:
     # frame), so a faster generator must reproduce it byte for byte.
     # "ar1_wide_blend_chunks" was recorded from the generator that
     # finished each split whole, and its train split (19,638 frames, 182
-    # 1-frame utterances) spans three chunks.
+    # 1-frame utterances) spans three chunks. The two blend-3 pins were
+    # re-recorded when each blend became bounded by its frame's own
+    # segment (``loop_blend_means``); blend 2 gives the bits it gave.
     PINNED = {
         "ar1_wide_blend": (
             dict(num_classes=4, feature_dim=5, self_loop=0.5, noise_scale=[0.5, 1.0, 2.0, 0.1],
                  noise_corr=0.5, blend_frames=3, min_frames=1, max_frames=15,
                  train_utterances=12, cv_utterances=4, test_utterances=4),
-            "5d44e1fc23350cb679aaec45e9ca06504835cf6ef37bb62d363567f54c699583",
+            "df3c67e7425a871bd7b424f9bec42714f0cf77364d375c3823765c1a4f9a06af",
         ),
         "ar1_wide_blend_chunks": (
             dict(num_classes=4, feature_dim=5, self_loop=0.5, noise_scale=[0.5, 1.0, 2.0, 0.1],
                  noise_corr=0.5, blend_frames=3, min_frames=1, max_frames=15,
                  train_utterances=2500, cv_utterances=4, test_utterances=4),
-            "ca6d4cb25132dbe32160afaace98d60a46cd8ef0d8fefbc22c5e7652518f55c2",
+            "64e46e777dc738c39ac353648ded77f51c83f7fc244df8867dd1f50ed3379497",
         ),
         "desk_like": (
             dict(num_classes=6, feature_dim=3, self_loop=0.7, noise_scale=1.0, noise_corr=0.85,
@@ -212,7 +223,17 @@ class TestGenerateSynth:
         first = np.zeros(labels.size, dtype=bool)
         first[np.cumsum(lengths) - lengths] = True
         want = np.concatenate([loop_blend_means(c, centroids, blend) for c in chunks])
-        np.testing.assert_array_equal(_blend_means(labels, first, centroids, blend), want)
+        vectors, row = _blend_means(labels, first, centroids, blend)
+        np.testing.assert_array_equal(vectors[row], want)
+
+    def test_a_blend_stays_inside_its_frames_segment(self):
+        """Labels 2, 1, 2, 3 at blend 3: frame 0 is the last frame of its
+        segment, so it takes 5/12 of class 1, the next segment's, and
+        nothing of class 3 beyond it."""
+        labels = np.array([2, 1, 2, 3])
+        vectors, row = _blend_means(labels, np.array([True, False, False, False]), np.eye(4), 3)
+        want = np.array([[0, 5, 7, 0], [0, 7, 5, 0], [0, 0, 7, 5], [0, 0, 5, 7]]) / 12
+        np.testing.assert_allclose(vectors[row], want, rtol=0, atol=1e-15)
 
     def test_boundary_frames_are_convex_blends(self):
         """With zero noise, frames near a transition sit strictly between
@@ -254,16 +275,17 @@ class TestGenerateSynth:
     def test_generation_holds_the_float32_splits_and_one_chunk(self):
         """The traced peak is at most each split's float32 buffer (room
         for count x max_frames frames), 16 bytes of labels per frame (the
-        utterances' arrays and their concatenation) and one chunk's
-        float64 noise and features, with 1 MiB for the manifests and
-        index arrays; not a float64 copy of a split."""
+        utterances' arrays and their concatenation), one chunk's float64
+        noise and one slice of means added into it, with 1 MiB for the
+        manifests and index arrays; not a float64 copy of a split, nor a
+        chunk's features beside its noise."""
         counts = (1000, 50, 50)
         spec = SynthTaskSpec(feature_dim=40, noise_scale=1.0, train_utterances=counts[0],
                              cv_utterances=counts[1], test_utterances=counts[2])
         splits, peak = traced_peak(generate_synth, spec, 5)
         buffers = sum(counts) * spec.max_frames * spec.feature_dim * 4
         frames = sum(ds.total_frames for ds in splits)
-        chunk = 2 * _CHUNK_FRAMES * spec.feature_dim * 8
+        chunk = (_CHUNK_FRAMES + _ADD_ROWS) * spec.feature_dim * 8
         assert peak <= buffers + 16 * frames + chunk + 2**20 < splits.train.features.size * 8 * 2
 
     def test_noise_corr_makes_consecutive_noise_similar(self):

@@ -191,6 +191,29 @@ class TestForward:
                       scale=0.2)
         assert_split_anywhere_is_bit_identical(p, rng.normal(size=(streams, 20, 20)))
 
+    @pytest.mark.parametrize("layers, cells, projection", [(1, 64, 32), (2, 32, 16), (2, 256, 128)])
+    @pytest.mark.parametrize("streams", [1, 4, 12, 32])
+    @pytest.mark.parametrize("frames", [1, 5, 16])
+    def test_scoring_forward_gives_the_bits_of_the_training_forward(
+        self, layers, cells, projection, streams, frames
+    ):
+        """``cache=False`` returns no cache and the logits and state of
+        ``cache=True``, bit for bit, from a carried non-zero state."""
+        d = 20
+        rng = np.random.default_rng(streams * frames + layers)
+        p = init_lstm(d, 10, layers=layers, cells=cells, projection=projection, rng=rng,
+                      scale=0.2)
+        _, state, _ = lstm_forward_batch(p, rng.normal(size=(streams, 3, d)),
+                                         zeros_state(p, streams))
+        windows = rng.normal(size=(streams, frames, d))
+        want, want_state, cache = lstm_forward_batch(p, windows, state)
+        got, got_state, none = lstm_forward_batch(p, windows, state, cache=False)
+        assert cache is not None and none is None
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        for a, b in zip(got_state.cells + got_state.projected,
+                        want_state.cells + want_state.projected, strict=True):
+            assert a.tobytes() == b.tobytes()
+
     def test_batch_matches_single_streams(self):
         p = small_lstm(9, cells=5, projection=3)
         rng = np.random.default_rng(10)

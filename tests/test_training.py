@@ -339,9 +339,10 @@ _SLACK = 2**17  # bytes of small transients: states, one block's input and logit
 
 
 def test_lstm_eval_memory_is_bounded_by_the_frame_block():
-    """Eval keeps one frame block's activations, (7C + P) * S * B
-    doubles per layer, besides the split's own logits and the group's
-    padded input and logits; not the whole utterance's."""
+    """Eval keeps one frame's gates, c, tanh(c) and m, 7C * S doubles
+    per layer, and one frame block's projected outputs, (B + 1) * P * S,
+    besides the split's own logits and the group's padded input and
+    logits; no block-long backward cache, nor the whole utterance's."""
     s, frames, d, k, c, p = 4, 600, 20, 10, 64, 32
     rng = np.random.default_rng(35)
     split = FrameDataset(
@@ -350,8 +351,8 @@ def test_lstm_eval_memory_is_bounded_by_the_frame_block():
     )
     params = init_lstm(d, k, layers=2, cells=c, projection=p, rng=rng, scale=0.3)
     out, peak = traced_peak(eval_logits, params, split)
-    block = 2 * (7 * c + p) * s * training._EVAL_BLOCK * 8
-    assert peak <= out.nbytes + s * frames * (d + k) * 8 + block + _SLACK
+    layers = 2 * (7 * c + (training._EVAL_BLOCK + 1) * p) * s * 8
+    assert peak <= out.nbytes + s * frames * (d + k) * 8 + layers + _SLACK
 
 
 def test_teacher_eval_memory_is_bounded_by_the_row_block():
@@ -382,6 +383,96 @@ def test_teacher_eval_makes_no_float64_copy_of_a_float32_split():
     out, peak = traced_peak(eval_logits, teacher, split)
     bound = out.nbytes + _BLOCK_ROWS * (d + 2 * width) * 8 + _SLACK
     assert peak <= bound < split.features.size * 8
+
+
+def reference_accuracy(params, dataset):
+    return 100.0 * float(np.mean(np.argmax(eval_logits(params, dataset), axis=1)
+                                 == dataset.labels))
+
+
+def accuracy_cases(ragged_split):
+    """A teacher over several near-equal row blocks and over one short
+    block, and an LSTM on a ragged split whose last group is short."""
+    rng = np.random.default_rng(39)
+    teacher = init_feedforward([20, 16, 10], rng, scale=1.0)
+    student = init_lstm(20, 10, layers=1, cells=16, projection=8, rng=rng, scale=0.5)
+    return [(teacher, ragged_split), (teacher, split_prefix(ragged_split, 300)),
+            (student, ragged_split)]
+
+
+def split_prefix(split, frames):
+    """The utterances of ``split`` that end within its first ``frames``."""
+    utts = [u for u in split.utterances if u.offset + u.count <= frames]
+    end = utts[-1].offset + utts[-1].count
+    return FrameDataset(utts, split.features[:end], split.labels[:end], split.num_classes)
+
+
+def test_frame_accuracy_equals_the_mean_over_the_split_logits(ragged_split):
+    """The correct frames counted piece by piece give the bits of the
+    mean over the whole split's logits, and the pieces ``each`` receives
+    cover the split once with its logits."""
+    cases = accuracy_cases(ragged_split)
+    assert ragged_split.total_frames > 3 * _BLOCK_ROWS > 3 * cases[1][1].total_frames
+    for params, split in cases:
+        got = frame_accuracy(params, split)
+        assert type(got) is float and got == reference_accuracy(params, split)
+        pieces = np.full((split.total_frames, split.num_classes), np.nan)
+        seen = np.zeros(split.total_frames, dtype=int)
+
+        def keep(rows, logits):
+            pieces[rows] = logits
+            seen[rows] += 1
+
+        assert eval_logits(params, split, keep) is None
+        assert (seen == 1).all()
+        assert pieces.tobytes() == eval_logits(params, split).tobytes()
+
+
+def test_frame_accuracy_scores_inside_one_eval_logits_call(ragged_split, monkeypatch):
+    """Every LSTM forward of a score runs inside its one
+    ``training.eval_logits`` call, as bound in ``kdtrain.training``."""
+    params = accuracy_cases(ragged_split)[2][0]
+    real_eval, real_forward = training.eval_logits, training.lstm_forward_batch
+    calls = {"eval": 0, "depth": 0, "forwards": 0}
+
+    def counting_eval(*args, **kwargs):
+        calls["eval"] += 1
+        calls["depth"] += 1
+        try:
+            return real_eval(*args, **kwargs)
+        finally:
+            calls["depth"] -= 1
+
+    def counting_forward(*args, **kwargs):
+        assert calls["depth"] == 1
+        calls["forwards"] += 1
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "eval_logits", counting_eval)
+    monkeypatch.setattr(training, "lstm_forward_batch", counting_forward)
+    frame_accuracy(params, ragged_split)
+    assert calls["eval"] == 1 and calls["forwards"] > 5
+
+
+def test_frame_accuracy_holds_less_than_the_split_logits():
+    """A teacher's score holds one row block's input, hidden matrix
+    and logits at a time; an LSTM's one group's padded input and
+    logits, and one frame block's logits twice (the forward's and their
+    stream-major copy). Neither holds the split's logits."""
+    rng = np.random.default_rng(40)
+    d, k, frames, count = 5, 40, 30, 8 * training._EVAL_GROUP
+    split = FrameDataset(
+        [Utterance(i, i * frames, frames) for i in range(count)],
+        rng.normal(size=(count * frames, d)), rng.integers(0, k, size=count * frames), k,
+    )
+    logits = split.total_frames * k * 8
+    teacher = init_feedforward([d, 16, k], rng, scale=0.5)
+    _, peak = traced_peak(frame_accuracy, teacher, split)
+    assert peak <= _BLOCK_ROWS * (d + 16 + 2 * k) * 8 + _SLACK < logits
+    student = init_lstm(d, k, layers=1, cells=16, projection=8, rng=rng, scale=0.5)
+    _, peak = traced_peak(frame_accuracy, student, split)
+    group = training._EVAL_GROUP * (frames * (d + k) + 2 * training._EVAL_BLOCK * k) * 8
+    assert peak <= group + _SLACK < logits
 
 
 def widened(split):
