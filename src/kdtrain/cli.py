@@ -47,6 +47,7 @@ from .training import (
     frame_accuracy,
     gradient_variance_report,
     run_training,
+    score_serially,
 )
 
 _SPLITS = ("train", "cv", "test")
@@ -213,7 +214,7 @@ def cmd_train_student(cfg: ExperimentConfig, out: Path, regimes, temperatures, s
         # imported here so that a serial command does not pay for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(parallel) as pool:
+        with ProcessPoolExecutor(parallel, initializer=score_serially) as pool:
             list(pool.map(train, cells))
     else:
         list(map(train, cells))
@@ -341,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-student", help="train LSTM student cells")
     p.add_argument("--regime", help="restrict to one regime")
     p.add_argument("--temperature", type=float, help="restrict to one temperature")
-    p.add_argument("--parallel", type=int, default=1, help="independent cells in N processes")
+    p.add_argument("--parallel", type=int, default=1,
+                   help="independent cells in N processes, each scoring on one CPU")
 
     p = sub.add_parser("eval", help="frame accuracy of a checkpoint on a split")
     p.add_argument("--model", required=True)

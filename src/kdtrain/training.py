@@ -6,18 +6,24 @@ policy, and gradient-variance instrumentation.
 Everything is deterministic given (config, master seed): the master seed
 splits into per-purpose seeds through numpy SeedSequence, utterances are
 shuffled once per epoch by an epoch-indexed generator, and gradients are
-reduced in a fixed order.
+reduced in a fixed order. Scoring shares a split between forked
+processes, one per CPU (``eval_logits``); the bits do not depend on the
+process count.
 """
 
+import gc
 import math
+import mmap
+import os
+import signal
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datasets import FrameDataset, validate_soft_targets
-from .distill import REGIMES, DistillLossSpec, SoftTargetSet, frame_objective, one_hot_rows
+from .datasets import FrameDataset, Utterance, validate_soft_targets
+from .distill import REGIMES, DistillLossSpec, SoftTargetSet, frame_objective
 from .errors import (
     AlignmentError,
     InvalidArgumentError,
@@ -41,8 +47,11 @@ _SEED_PURPOSES = {"init": 1, "shuffle": 2}
 # S as in manifest-order grouping; so its logits stay bit-identical.
 # A group runs in _EVAL_BLOCK-frame scoring forwards, state carried, so
 # only its projected outputs are block-long; the split identity keeps every bit.
+# Groups and a teacher's row blocks are the pieces eval_logits shares out
+# to processes: a piece's logits depend only on its rows and its S.
 _EVAL_GROUP = 32
 _EVAL_BLOCK = 16
+_SERIAL = False  # set by score_serially
 
 
 def derive_rng(master_seed: int, purpose: str, index: int = 0) -> np.random.Generator:
@@ -186,6 +195,99 @@ def _is_lstm(params) -> bool:
     return isinstance(params, LstmProjParams)
 
 
+def score_serially() -> None:
+    """Score in one process: ``train-student --parallel`` workers fill the CPUs."""
+    global _SERIAL
+    _SERIAL = True
+
+
+def _scoring_cpus() -> int:
+    """This process's CPUs (``taskset``); 1 after score_serially or with no affinity."""
+    return 1 if _SERIAL or not hasattr(os, "sched_getaffinity") else len(os.sched_getaffinity(0))
+
+
+def _shares(params, dataset: FrameDataset, processes: int) -> list[list[list[Utterance]]]:
+    """The split's independent pieces as lists of row spans (an LSTM's
+    utterance groups, a teacher's ``row_blocks``), shared between at most
+    ``processes``: costliest first (a piece costs its padded slots), each
+    to the least loaded. The first share, a child's, gets the costliest;
+    the last is the caller's."""
+    if _is_lstm(params):
+        utts = dataset.utterances
+        whole = len(utts) - len(utts) % _EVAL_GROUP
+        ordered = sorted(utts[:whole], key=lambda u: u.count) + utts[whole:]
+        pieces = [ordered[i : i + _EVAL_GROUP] for i in range(0, len(ordered), _EVAL_GROUP)]
+    else:
+        blocks = row_blocks(dataset.total_frames)
+        pieces = [[Utterance(0, b.start, b.stop - b.start)] for b in blocks]
+    processes = min(processes, len(pieces))
+    shares, loads = [[] for _ in range(processes)], [0] * processes
+    for cost, piece in sorted(((len(p) * max(u.count for u in p), p) for p in pieces),
+                              key=lambda c: c[0], reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(piece)
+        loads[k] += cost
+    return shares
+
+
+def _rows(span: Utterance) -> slice:
+    return slice(span.offset, span.offset + span.count)
+
+
+def _score(params, dataset: FrameDataset, pieces, each) -> None:
+    """``each(rows, logits)`` for every span of ``pieces``, one piece's
+    forward at a time; a group runs in ``_EVAL_BLOCK``-frame blocks."""
+    for piece in pieces:
+        if not _is_lstm(params):
+            logits = ff_forward(params, dataset.features[_rows(piece[0])])[np.newaxis]
+        else:
+            frames = max(u.count for u in piece)
+            feats = np.zeros((len(piece), frames, dataset.feature_dim))
+            for s, u in enumerate(piece):
+                feats[s, : u.count] = dataset.features[_rows(u)]
+            logits = np.empty((len(piece), frames, params.output_dim))
+            state = zeros_state(params, len(piece))
+            for lo in range(0, frames, _EVAL_BLOCK):
+                block = slice(lo, lo + _EVAL_BLOCK)
+                logits[:, block], state, _ = lstm_forward_batch(params, feats[:, block], state,
+                                                                cache=False)
+        for s, u in enumerate(piece):
+            each(_rows(u), logits[s, : u.count])
+
+
+def _places(share):
+    """(rows, the rows of a child's buffer that hold their logits) per span of ``share``."""
+    at = 0
+    for u in (u for piece in share for u in piece):
+        yield _rows(u), slice(at, at + u.count)
+        at += u.count
+
+
+def _fork(params, dataset: FrameDataset, share):
+    """(pid, the read end of its pipe, its logits) of a child that scores
+    ``share`` into a shared buffer sized to it, sends one byte and leaves
+    by ``os._exit``, which flushes none of this process's buffers."""
+    rows = sum(u.count for piece in share for u in piece)
+    logits = np.frombuffer(mmap.mmap(-1, rows * params.output_dim * 8)).reshape(rows, -1)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                gc.disable()  # a collection could run a finalizer of the parent's objects
+                places = _places(share)
+                _score(params, dataset, share, lambda _, z: logits.__setitem__(next(places)[1], z))
+                os.write(write, b"\1")
+            finally:
+                os._exit(0)
+    except OSError:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return pid, read, logits
+
+
 def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
     """Per-frame logits over a whole dataset, with recurrent state zeroed
     at each utterance start; an LSTM runs each utterance group in
@@ -193,7 +295,12 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
     each piece goes to ``each(rows, logits)`` in no set order (an LSTM's
     utterances, a teacher's ``row_blocks``) and no split-sized array is
     made; without it, the split's logits are returned. A model whose
-    input or output width is not the split's is AlignmentError."""
+    input or output width is not the split's is AlignmentError.
+
+    A forked child per further CPU scores a share (``_shares``); one that
+    sends no byte (a crash, a kill, non-finite logits) has it scored
+    here, so an error is the serial one. Every child is reaped before
+    this returns or raises. The bits do not depend on the process count."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
     if (params.input_dim, params.output_dim) != (dataset.feature_dim, dataset.num_classes):
@@ -201,33 +308,33 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
                              f"fit a split of D={dataset.feature_dim}, K={dataset.num_classes}")
     out = np.empty((dataset.total_frames, params.output_dim)) if each is None else None
     each = each or out.__setitem__
-    if not _is_lstm(params):
-        for rows in row_blocks(dataset.total_frames):
-            each(rows, ff_forward(params, dataset.features[rows]))
-        return out
-    utts = dataset.utterances
-    whole = len(utts) - len(utts) % _EVAL_GROUP
-    ordered = sorted(utts[:whole], key=lambda u: u.count) + utts[whole:]
-    for start in range(0, len(ordered), _EVAL_GROUP):
-        group = ordered[start : start + _EVAL_GROUP]
-        frames = max(u.count for u in group)
-        feats = np.zeros((len(group), frames, dataset.feature_dim))
-        for s, u in enumerate(group):
-            feats[s, : u.count] = dataset.features[u.offset : u.offset + u.count]
-        logits = np.empty((len(group), frames, params.output_dim))
-        state = zeros_state(params, len(group))
-        for lo in range(0, frames, _EVAL_BLOCK):
-            block = slice(lo, lo + _EVAL_BLOCK)
-            logits[:, block], state, _ = lstm_forward_batch(params, feats[:, block], state,
-                                                            cache=False)
-        for s, u in enumerate(group):
-            each(slice(u.offset, u.offset + u.count), logits[s, : u.count])
+    *shares, mine = _shares(params, dataset, _scoring_cpus())
+    children = []
+    try:
+        for share in shares:
+            try:
+                children.append((*_fork(params, dataset, share), share))
+            except OSError:  # no process to spare: score the share here
+                mine += share
+        _score(params, dataset, mine, each)
+        for _, read, logits, share in children:
+            if os.read(read, 1) == b"\1":
+                for rows, at in _places(share):
+                    each(rows, logits[at])
+            else:  # the child sent no byte: score its share here
+                _score(params, dataset, share, each)
+    finally:  # a child that sent its byte has nothing left to do
+        for pid, read, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
     return out
 
 
 def frame_accuracy(params, dataset: FrameDataset) -> float:
     """Percent of frames whose argmax logit (T = 1) matches the label,
-    counted over the pieces ``eval_logits`` hands over."""
+    counted over the pieces ``eval_logits`` hands over, from whichever
+    process scored them."""
     correct = []
     eval_logits(params, dataset, lambda rows, logits: correct.append(
         int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels[rows]))))
@@ -256,12 +363,19 @@ class GradVarianceAccumulator:
     def add(self, t_rows: np.ndarray, y_rows: np.ndarray) -> None:
         """Accumulate (frames x K) targets and float64 outputs; float32
         targets, as a soft-target file holds them, sum in float64 to the
-        bits of their widened values."""
-        if t_rows.shape != y_rows.shape or t_rows.shape[1] != self.sum_t.size:
+        bits of their widened values. Hard targets may come as each
+        frame's label: the one-hot rows are never formed, and -y with 1
+        added at the label has the bits of t - y."""
+        if t_rows.shape != y_rows.shape[: t_rows.ndim] or y_rows.shape[1:] != self.sum_t.shape:
             raise ShapeError("target/output rows disagree with accumulator width")
-        self.sum_t += t_rows.sum(axis=0, dtype=np.float64)
+        if t_rows.ndim == 1:
+            self.sum_t += np.bincount(t_rows, minlength=self.sum_t.size)
+            d = np.negative(y_rows)
+            d[np.arange(len(t_rows)), t_rows] += 1.0
+        else:
+            self.sum_t += t_rows.sum(axis=0, dtype=np.float64)
+            d = t_rows - y_rows
         self.sum_y += y_rows.sum(axis=0)
-        d = t_rows - y_rows
         d *= d
         self.sum_sq_diff += d.sum(axis=0)
         self.count += t_rows.shape[0]
@@ -273,11 +387,8 @@ class GradVarianceAccumulator:
         first = self.sum_sq_diff / n
         mean_gap = self.sum_t / n - self.sum_y / n
         per_class = first - mean_gap * mean_gap
-        return VarianceReport(
-            per_class=per_class,
-            total=float(per_class.sum()),
-            first_term=float(first.sum()),
-        )
+        return VarianceReport(per_class, total=float(per_class.sum()),
+                              first_term=float(first.sum()))
 
 
 @dataclass
@@ -309,12 +420,8 @@ def gradient_variance_report(
     y = softmax_rows(eval_logits(params, dataset), 1.0)
     reports = []
     for targets in target_sets:
-        if targets is None:
-            t = one_hot_rows(dataset.labels, dataset.num_classes)
-        else:
-            t = targets.rows
         acc = GradVarianceAccumulator.for_classes(dataset.num_classes)
-        acc.add(t, y)
+        acc.add(dataset.labels if targets is None else targets.rows, y)
         reports.append(acc.report())
     return reports
 
@@ -422,11 +529,8 @@ def _train_epoch(
         flat_labels = batch.labels.ravel()
         flat_mask = batch.mask.ravel()
         losses, grads, t_inst, y_inst = frame_objective(
-            spec,
-            flat_logits,
-            flat_labels,
-            None if batch.targets is None else batch.targets.reshape(-1, k),
-        )
+            spec, flat_logits, flat_labels,
+            None if batch.targets is None else batch.targets.reshape(-1, k))
         grads[~flat_mask] = 0.0
         loss_sum += float(losses[flat_mask].sum())
         n_frames += int(flat_mask.sum())
@@ -484,22 +588,12 @@ def run_training(
         if teacher is None:
             raise InvalidArgumentError(f"regime {spec.mode!r} requires the teacher model")
         targets = ff_forward(teacher, train_set.features)
-    phases = [
-        (
-            DistillLossSpec(mode, spec.alpha, spec.temperature),
-            schedule.pretrain_switch_epoch if n < len(regime.phases) - 1 else None,
-        )
-        for n, mode in enumerate(regime.phases)
-    ]
+    phases = [(DistillLossSpec(mode, spec.alpha, spec.temperature),
+               schedule.pretrain_switch_epoch if n < len(regime.phases) - 1 else None)
+              for n, mode in enumerate(regime.phases)]
 
-    record = RunRecord(
-        model=model_tag,
-        regime=spec.mode,
-        temperature=spec.temperature,
-        alpha=spec.alpha,
-        seed=master_seed,
-        config_digest=config_digest,
-    )
+    record = RunRecord(model=model_tag, regime=spec.mode, temperature=spec.temperature,
+                       alpha=spec.alpha, seed=master_seed, config_digest=config_digest)
     epoch_global = 0
     last_good = params.copy()
     for phase_spec, forced_epochs in phases:
@@ -524,30 +618,18 @@ def run_training(
                     )
                     cv_fa = frame_accuracy(params, cv_set)
             except NumericOverflowError as exc:
-                raise TrainingAborted(
-                    f"numeric overflow in epoch {epoch_global + 1} "
-                    f"(phase {phase_spec.mode!r}): {exc}",
-                    record,
-                    last_good,
-                ) from exc
-            record.epochs.append(
-                EpochStats(
-                    epoch=epoch_global + 1,
-                    learning_rate=opt.learning_rate,
-                    mean_loss=mean_loss,
-                    train_accuracy=tr_fa,
-                    cv_accuracy=cv_fa,
-                    grad_variance=var.total,
-                    grad_variance_first_term=var.first_term,
-                    wall_seconds=time.perf_counter() - started,
-                )
-            )
+                raise TrainingAborted(f"numeric overflow in epoch {epoch_global + 1} "
+                                      f"(phase {phase_spec.mode!r}): {exc}",
+                                      record, last_good) from exc
+            record.epochs.append(EpochStats(
+                epoch=epoch_global + 1, learning_rate=opt.learning_rate, mean_loss=mean_loss,
+                train_accuracy=tr_fa, cv_accuracy=cv_fa, grad_variance=var.total,
+                grad_variance_first_term=var.first_term,
+                wall_seconds=time.perf_counter() - started))
             if log is not None:
-                log(
-                    f"[{model_tag}/{spec.mode} seed {master_seed}] epoch {epoch_global + 1}: "
+                log(f"[{model_tag}/{spec.mode} seed {master_seed}] epoch {epoch_global + 1}: "
                     f"loss {mean_loss:.4f} tr_fa {tr_fa:.2f} cv_fa {cv_fa:.2f} "
-                    f"lr {opt.learning_rate:g}"
-                )
+                    f"lr {opt.learning_rate:g}")
             last_good = params.copy()
             epoch_global += 1
             phase_epochs += 1

@@ -218,6 +218,89 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_parallel_workers_score_in_one_process(done, tmp_path, monkeypatch):
+    """train-student --parallel gives its pool training.score_serially as
+    initializer, after which a worker scores in one process; the
+    command's own process keeps its CPUs."""
+    import concurrent.futures
+
+    pool_class = concurrent.futures.ProcessPoolExecutor
+    initializers = []
+
+    class Recording(pool_class):
+        def __init__(self, *args, **kwargs):
+            initializers.append(kwargs.get("initializer"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns("student_*"))
+    assert run(config, copy, "train-student", "--regime", "hard", "--parallel", "2") == 0
+    assert initializers == [training.score_serially]
+    with pool_class(1, initializer=training.score_serially) as pool:
+        assert pool.submit(training._scoring_cpus).result() == 1
+    assert training._scoring_cpus() == len(os.sched_getaffinity(0))
+
+
+# Runs the command line with every score shared between three processes.
+_SPLIT_CLI = ("import sys; from kdtrain import cli, training; "
+              "training._scoring_cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))")
+
+
+def kdtrain_process(*argv):
+    """Run ``_SPLIT_CLI`` with ``argv`` in a fresh interpreter whose
+    standard output is a block-buffered pipe."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", _SPLIT_CLI, *argv], capture_output=True,
+                          text=True, env={**env, "PYTHONPATH": src}, timeout=120)
+
+
+def test_split_scores_print_each_line_once(tmp_path):
+    """Children leave without flushing the parent's buffered output, so
+    train-teacher, train-student and eval print each line once while
+    their cv and test scores are shared out."""
+    config = write_config(tmp_path / "split.yaml", task={"cv_utterances": 70,
+                                                          "test_utterances": 70})
+    out = tmp_path / "out"
+    assert run(config, out, "generate-data") == 0
+    assert len(read_dataset(out / "dataset_cv.dkds").utterances) > training._EVAL_GROUP * 2
+    assert read_dataset(out / "dataset_test.dkds").total_frames > 512
+    expected = {("train-teacher",): 3, ("export-soft",): 1,
+                ("train-student", "--regime", "hard"): 3,
+                ("eval", "--model", str(out / "student_hard_s3.dkdm")): 1}
+    for argv, lines in expected.items():
+        proc = kdtrain_process("--config", config, "--out", str(out), *argv)
+        assert proc.returncode == 0, proc.stderr
+        printed = proc.stdout.splitlines()
+        assert len(printed) == len(set(printed)) == lines, printed
+
+
+def test_split_score_at_default_blas_threads_equals_the_serial_one(tmp_path):
+    """With the BLAS thread count left at its default, a teacher and an
+    LSTM scored in three processes finish and give the logits of a
+    serial score at one BLAS thread."""
+    code = ("import sys, hashlib, numpy as np; from kdtrain import training; "
+            "from kdtrain.datasets import SynthTaskSpec, generate_synth; "
+            "from kdtrain.feedforward import init_feedforward; from kdtrain.lstm import init_lstm; "
+            "training._scoring_cpus = lambda: int(sys.argv[1]); "
+            "split = generate_synth(SynthTaskSpec(train_utterances=70), 5).train; "
+            "rng = np.random.default_rng(6); "
+            "models = [init_feedforward([20, 256, 256, 10], rng), "
+            "          init_lstm(20, 10, layers=1, cells=64, projection=32, rng=rng)]; "
+            "print([hashlib.sha256(training.eval_logits(m, split)).hexdigest() for m in models])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    default = {k: v for k, v in os.environ.items() if k not in threads}
+    digests = []
+    for processes, env in (("1", {**default, **dict.fromkeys(threads, "1")}), ("3", default)):
+        proc = subprocess.run([sys.executable, "-c", code, processes], capture_output=True,
+                              text=True, env={**env, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_each_split_is_read_once_per_command(done, tmp_path, monkeypatch):
     """train-student reads the three splits once for all its cells, and
     variance-report reads the train split once for all its seeds."""

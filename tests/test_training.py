@@ -7,6 +7,9 @@ bounds; and the gradient-variance report against a two-pass oracle."""
 
 import copy
 import dataclasses
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from kdtrain import training
 from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import DistillLossSpec, SoftTargetSet, export_soft_targets, one_hot_rows
-from kdtrain.errors import AlignmentError, InvalidArgumentError
+from kdtrain.errors import AlignmentError, InvalidArgumentError, NumericOverflowError
 from kdtrain.feedforward import _BLOCK_ROWS, ff_forward, init_feedforward
 from kdtrain.formats import read_soft_targets, write_soft_targets
 from kdtrain.lstm import init_lstm, lstm_forward_batch, zeros_state
@@ -338,11 +341,31 @@ def traced_peak(fn, *args):
 _SLACK = 2**17  # bytes of small transients: states, one block's input and logits
 
 
-def test_lstm_eval_memory_is_bounded_by_the_frame_block():
+def shared_buffers(monkeypatch, processes):
+    """Score in ``processes`` processes from here on; the list returned
+    gathers the bytes of each child's shared buffer, which tracemalloc
+    does not see, each checked to hold its share's logits and no more."""
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: processes)
+    sizes = []
+    fork = training._fork
+
+    def recording(params, dataset, share):
+        pid, read, logits = fork(params, dataset, share)
+        rows = sum(u.count for piece in share for u in piece)
+        assert logits.nbytes == rows * params.output_dim * 8 and rows < dataset.total_frames
+        sizes.append(logits.nbytes)
+        return pid, read, logits
+
+    monkeypatch.setattr(training, "_fork", recording)
+    return sizes
+
+
+def test_lstm_eval_memory_is_bounded_by_the_frame_block(monkeypatch):
     """Eval keeps one frame's gates, c, tanh(c) and m, 7C * S doubles
     per layer, and one frame block's projected outputs, (B + 1) * P * S,
     besides the split's own logits and the group's padded input and
-    logits; no block-long backward cache, nor the whole utterance's."""
+    logits; no block-long backward cache, nor the whole utterance's. One
+    group is one piece, which no child shares."""
     s, frames, d, k, c, p = 4, 600, 20, 10, 64, 32
     rng = np.random.default_rng(35)
     split = FrameDataset(
@@ -350,14 +373,17 @@ def test_lstm_eval_memory_is_bounded_by_the_frame_block():
         rng.normal(size=(s * frames, d)), np.zeros(s * frames, dtype=np.int64), k,
     )
     params = init_lstm(d, k, layers=2, cells=c, projection=p, rng=rng, scale=0.3)
+    shared = shared_buffers(monkeypatch, 2)
     out, peak = traced_peak(eval_logits, params, split)
     layers = 2 * (7 * c + (training._EVAL_BLOCK + 1) * p) * s * 8
     assert peak <= out.nbytes + s * frames * (d + k) * 8 + layers + _SLACK
+    assert shared == []
 
 
-def test_teacher_eval_memory_is_bounded_by_the_row_block():
+def test_teacher_eval_memory_is_bounded_by_the_row_block(monkeypatch):
     """A teacher eval over several row blocks holds two block-high
-    hidden matrices at a time, not two split-high ones."""
+    hidden matrices at a time, not two split-high ones, beside the
+    split's logits; its child's shared buffer holds less than those."""
     rows, width = 5 * _BLOCK_ROWS + 77, 128
     rng = np.random.default_rng(36)
     split = FrameDataset(
@@ -365,13 +391,16 @@ def test_teacher_eval_memory_is_bounded_by_the_row_block():
         np.zeros(rows, dtype=np.int64), 10,
     )
     teacher = init_feedforward([20, width, width, 10], rng, scale=0.3)
+    shared = shared_buffers(monkeypatch, 2)
     out, peak = traced_peak(eval_logits, teacher, split)
     assert peak <= out.nbytes + 2 * _BLOCK_ROWS * width * 8 + _SLACK
+    assert len(shared) == 1 and sum(shared) < out.nbytes
 
 
-def test_teacher_eval_makes_no_float64_copy_of_a_float32_split():
+def test_teacher_eval_makes_no_float64_copy_of_a_float32_split(monkeypatch):
     """The split holds float32 features; a teacher eval widens one row
-    block at a time, so it holds far less than the split in float64."""
+    block at a time, so it holds far less than the split in float64,
+    with its child's shared buffer too."""
     rows, d, width = 5 * _BLOCK_ROWS + 77, 64, 8
     rng = np.random.default_rng(37)
     split = FrameDataset(
@@ -380,9 +409,11 @@ def test_teacher_eval_makes_no_float64_copy_of_a_float32_split():
     )
     assert split.features.dtype == np.float32
     teacher = init_feedforward([d, width, 10], rng, scale=0.3)
+    shared = shared_buffers(monkeypatch, 2)
     out, peak = traced_peak(eval_logits, teacher, split)
     bound = out.nbytes + _BLOCK_ROWS * (d + 2 * width) * 8 + _SLACK
     assert peak <= bound < split.features.size * 8
+    assert len(shared) == 1 and peak + sum(shared) < split.features.size * 8
 
 
 def reference_accuracy(params, dataset):
@@ -454,11 +485,12 @@ def test_frame_accuracy_scores_inside_one_eval_logits_call(ragged_split, monkeyp
     assert calls["eval"] == 1 and calls["forwards"] > 5
 
 
-def test_frame_accuracy_holds_less_than_the_split_logits():
+def test_frame_accuracy_holds_less_than_the_split_logits(monkeypatch):
     """A teacher's score holds one row block's input, hidden matrix
     and logits at a time; an LSTM's one group's padded input and
     logits, and one frame block's logits twice (the forward's and their
-    stream-major copy). Neither holds the split's logits."""
+    stream-major copy). Beside that, the child's shared buffer holds its
+    share's logits, and neither score holds the split's."""
     rng = np.random.default_rng(40)
     d, k, frames, count = 5, 40, 30, 8 * training._EVAL_GROUP
     split = FrameDataset(
@@ -466,13 +498,173 @@ def test_frame_accuracy_holds_less_than_the_split_logits():
         rng.normal(size=(count * frames, d)), rng.integers(0, k, size=count * frames), k,
     )
     logits = split.total_frames * k * 8
+    shared = shared_buffers(monkeypatch, 2)
     teacher = init_feedforward([d, 16, k], rng, scale=0.5)
     _, peak = traced_peak(frame_accuracy, teacher, split)
     assert peak <= _BLOCK_ROWS * (d + 16 + 2 * k) * 8 + _SLACK < logits
+    assert len(shared) == 1 and peak + shared.pop() < logits
     student = init_lstm(d, k, layers=1, cells=16, projection=8, rng=rng, scale=0.5)
     _, peak = traced_peak(frame_accuracy, student, split)
     group = training._EVAL_GROUP * (frames * (d + k) + 2 * training._EVAL_BLOCK * k) * 8
     assert peak <= group + _SLACK < logits
+    assert len(shared) == 1 and peak + shared.pop() < logits
+
+
+def first_utterances(split, count):
+    """The first ``count`` utterances of ``split``, as a split."""
+    last = split.utterances[count - 1]
+    return split_prefix(split, last.offset + last.count)
+
+
+def split_cases(ragged_split):
+    """(model, split, pieces): a teacher over one, two and three row
+    blocks, and an LSTM over one group, two groups (the second short)
+    and five, the last short."""
+    rng = np.random.default_rng(41)
+    teacher = init_feedforward([20, 16, 10], rng, scale=1.0)
+    student = init_lstm(20, 10, layers=1, cells=16, projection=8, rng=rng, scale=0.5)
+    return [(teacher, split_prefix(ragged_split, _BLOCK_ROWS), 1),
+            (teacher, split_prefix(ragged_split, 2 * _BLOCK_ROWS), 2),
+            (teacher, split_prefix(ragged_split, 3 * _BLOCK_ROWS), 3),
+            (student, first_utterances(ragged_split, 20), 1),
+            (student, first_utterances(ragged_split, 40), 2),
+            (student, ragged_split, 5)]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_scores_have_the_bits(params, split, want):
+    """``eval_logits`` gives ``want``'s bytes as an array, and piece by
+    piece through ``each``, covering every frame once."""
+    assert eval_logits(params, split).tobytes() == want.tobytes()
+    pieces = np.full(want.shape, np.nan)
+    seen = np.zeros(split.total_frames, dtype=int)
+
+    def keep(rows, logits):
+        pieces[rows] = logits
+        seen[rows] += 1
+
+    assert eval_logits(params, split, keep) is None
+    assert (seen == 1).all() and pieces.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeypatch, processes):
+    """Scored in 1, 2 or 3 processes, a teacher and an LSTM give the bits
+    of the serial score and of the references; a child scores a share
+    whenever there is more than one process and more than one piece,
+    and none is left once a score returns."""
+    cases = split_cases(ragged_split)
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: 1)
+    serial = [eval_logits(params, split) for params, split, _ in cases]
+    for (params, split, pieces), want in zip(cases, serial):
+        assert len(training._shares(params, split, 99)) == pieces
+        reference = (manifest_order_logits(params, split) if training._is_lstm(params)
+                     else ff_forward(params, split.features))
+        assert want.tobytes() == reference.tobytes()
+    shared = shared_buffers(monkeypatch, processes)
+    for (params, split, pieces), want in zip(cases, serial):
+        del shared[:]
+        assert_scores_have_the_bits(params, split, want)
+        assert len(shared) == 2 * (min(processes, pieces) - 1)
+        assert_no_child_left()
+
+
+def test_each_piece_goes_to_the_least_loaded_process_costliest_first(ragged_split):
+    """Every group lands in one share; the first share, a child's, holds
+    the costliest; and no share's last piece would have gone to a less
+    loaded share when it was placed."""
+    def cost(piece):
+        return len(piece) * max(u.count for u in piece)
+
+    student = split_cases(ragged_split)[3][0]
+    shares = training._shares(student, ragged_split, 3)
+    pieces = sorted((p for share in shares for p in share), key=cost, reverse=True)
+    assert len(shares) == 3 and len(pieces) == 5
+    assert sorted(u.uid for p in pieces for u in p) == [u.uid for u in ragged_split.utterances]
+    assert shares[0][0] is pieces[0]
+    loads = [0, 0, 0]
+    for piece in pieces:
+        k = next(i for i, share in enumerate(shares) if any(p is piece for p in share))
+        assert loads[k] == min(loads)
+        loads[k] += cost(piece)
+
+
+def test_a_child_that_sends_no_byte_changes_no_bit(ragged_split, monkeypatch):
+    """A child that exits before its byte has its share scored by the
+    caller, with the same bits."""
+    cases = split_cases(ragged_split)[1:3] + split_cases(ragged_split)[4:]
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: 1)
+    serial = [eval_logits(params, split) for params, split, _ in cases]
+    caller, score = os.getpid(), training._score
+
+    def exiting_in_a_child(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return score(*args)
+
+    monkeypatch.setattr(training, "_score", exiting_in_a_child)
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: 2)
+    for (params, split, _), want in zip(cases, serial):
+        assert_scores_have_the_bits(params, split, want)
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", [2, 5], ids=["teacher", "lstm"])
+def test_non_finite_logits_in_a_childs_share_raise_the_serial_error(ragged_split, monkeypatch,
+                                                                    case):
+    """A NaN feature in the child's share: the child sends no byte, and
+    scoring its share here raises the error a serial score raises."""
+    params, split, _ = split_cases(ragged_split)[case]
+    child = training._shares(params, split, 2)[0]
+    features = split.features.copy()
+    features[child[-1][-1].offset] = np.nan
+    bad = FrameDataset(split.utterances, features, split.labels, split.num_classes)
+    errors = []
+    for processes in (1, 2):
+        monkeypatch.setattr(training, "_scoring_cpus", lambda: processes)
+        with pytest.raises(NumericOverflowError) as raised:
+            eval_logits(params, bad)
+        errors.append(str(raised.value))
+        assert_no_child_left()
+    assert errors[0] == errors[1] and "non-finite" in errors[0]
+
+
+def test_an_error_here_kills_and_reaps_every_child(ragged_split, monkeypatch):
+    """When ``each`` raises in the caller, each child, still busy, is
+    killed and reaped before the error leaves eval_logits."""
+    params, split, _ = split_cases(ragged_split)[5]
+    caller, score = os.getpid(), training._score
+
+    def sleeping_in_a_child(*args):
+        if os.getpid() != caller:
+            time.sleep(60)
+        return score(*args)
+
+    statuses = []
+    waitpid = os.waitpid
+
+    def recording_waitpid(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    def failing(rows, logits):
+        raise ValueError("stop")
+
+    monkeypatch.setattr(training, "_score", sleeping_in_a_child)
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: 3)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="stop"):
+        eval_logits(params, split, failing)
+    assert time.monotonic() - started < 30
+    monkeypatch.undo()
+    assert len(statuses) == 2
+    assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
+    assert_no_child_left()
 
 
 def widened(split):
@@ -577,6 +769,43 @@ def test_float32_targets_give_the_bits_of_their_widened_values(task):
     for f in dataclasses.fields(narrow_rep):
         a, b = np.asarray(getattr(narrow_rep, f.name)), np.asarray(getattr(wide_rep, f.name))
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
+def test_labels_give_the_bits_of_their_one_hot_rows(task, ragged_split):
+    """The accumulator takes hard targets as labels: their counts and -y
+    with 1 added at each label give the one-hot rows' report bit for bit."""
+    for split, k in ((task[0], 4), (ragged_split, 10)):
+        y = np.random.default_rng(43).dirichlet(np.ones(k), size=split.total_frames)
+        reports = []
+        for targets in (split.labels, one_hot_rows(split.labels, k)):
+            acc = training.GradVarianceAccumulator.for_classes(k)
+            acc.add(targets, y)
+            reports.append(acc.report())
+        for f in dataclasses.fields(reports[0]):
+            a, b = (np.asarray(getattr(r, f.name)) for r in reports)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
+def test_accumulator_refuses_labels_of_another_frame_count():
+    acc = training.GradVarianceAccumulator.for_classes(3)
+    with pytest.raises(training.ShapeError):
+        acc.add(np.zeros(4, dtype=np.int64), np.full((5, 3), 1 / 3))
+
+
+def test_variance_report_holds_two_split_sized_arrays(monkeypatch):
+    """The hard report forms no one-hot matrix: beside the posteriors y
+    it holds their difference from the targets, two (frames x K)
+    float64 arrays, and two frame-long vectors while it adds the 1s."""
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: 1)  # all logits where tracemalloc is
+    rng = np.random.default_rng(44)
+    frames, d, k = 16_000, 20, 10
+    split = FrameDataset([Utterance(0, 0, frames)], rng.normal(size=(frames, d)),
+                         rng.integers(0, k, size=frames), k)
+    teacher = init_feedforward([d, 16, k], rng, scale=0.5)
+    soft = SoftTargetSet(1.0, rng.dirichlet(np.ones(k), size=frames))
+    for target_sets in ([None], [soft]):
+        _, peak = traced_peak(gradient_variance_report, teacher, split, target_sets)
+        assert peak <= 2 * frames * k * 8 + 2 * frames * 8 + _SLACK
 
 
 def test_fresh_set_trains_the_student_of_its_file(task, tmp_path):
