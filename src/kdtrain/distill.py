@@ -201,8 +201,12 @@ def frame_objective(
         t_rows = one_hot_rows(labels, k)
         hard_losses, hard_grads, _ = batch_soft_loss(logits, t_rows, 1.0, False)
         soft_losses, soft_grads, q = batch_soft_loss(logits, targets, spec.temperature, True)
-        return (spec.alpha * hard_losses + soft_losses, spec.alpha * hard_grads + soft_grads,
-                targets, q)
+        return (
+            spec.alpha * hard_losses + soft_losses,
+            spec.alpha * hard_grads + soft_grads,
+            targets,
+            q,
+        )
     if spec.mode == "logitmatch":
         if targets.shape != logits.shape:
             raise ShapeError(f"teacher logits {targets.shape} vs student {logits.shape}")

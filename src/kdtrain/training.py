@@ -6,15 +6,16 @@ policy, and gradient-variance instrumentation.
 Everything is deterministic given (config, master seed): the master seed
 splits into per-purpose seeds through numpy SeedSequence, utterances are
 shuffled once per epoch by an epoch-indexed generator, and gradients are
-reduced in a fixed order. Scoring shares a split between forked
-processes, one per CPU (``eval_logits``); the bits do not depend on the
-process count.
+reduced in a fixed order. Scoring shares a large split between forked
+processes, at most one per CPU (``eval_logits``); the bits do not
+depend on the process count.
 """
 
 import gc
 import math
 import mmap
 import os
+import select
 import signal
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datasets import FrameDataset, Utterance, validate_soft_targets
+from .datasets import FrameDataset, validate_soft_targets
 from .distill import REGIMES, DistillLossSpec, SoftTargetSet, frame_objective
 from .errors import (
     AlignmentError,
@@ -51,7 +52,16 @@ _SEED_PURPOSES = {"init": 1, "shuffle": 2}
 # to processes: a piece's logits depend only on its rows and its S.
 _EVAL_GROUP = 32
 _EVAL_BLOCK = 16
-_SERIAL = False  # set by score_serially
+# A child's share costs at least _MIN_SHARE padded slots of the desk
+# student, about 35 ms of scoring; a desk teacher row takes half as long
+# as a slot. A fork costs about 10 ms: 4 ms to fork, exit and reap, then
+# a fault at the caller's first write to each page, in this call and the
+# next. Measured on 2 CPUs only.
+_MIN_SHARE = 8192
+_MAX_PROCESSES = 2  # 1 after score_serially
+# A child that sends no byte within 1 s + 4 x the caller's own scoring
+# time after the caller is done is taken as hung; its share is about as big.
+_HUNG = (1.0, 4.0)
 
 
 def derive_rng(master_seed: int, purpose: str, index: int = 0) -> np.random.Generator:
@@ -197,86 +207,92 @@ def _is_lstm(params) -> bool:
 
 def score_serially() -> None:
     """Score in one process: ``train-student --parallel`` workers fill the CPUs."""
-    global _SERIAL
-    _SERIAL = True
+    global _MAX_PROCESSES
+    _MAX_PROCESSES = 1
 
 
 def _scoring_cpus() -> int:
-    """This process's CPUs (``taskset``); 1 after score_serially or with no affinity."""
-    return 1 if _SERIAL or not hasattr(os, "sched_getaffinity") else len(os.sched_getaffinity(0))
+    """Processes a score may use: this process's CPUs (``taskset``), at
+    most ``_MAX_PROCESSES``; 1 with no affinity."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(_MAX_PROCESSES, cpus)
 
 
-def _shares(params, dataset: FrameDataset, processes: int) -> list[list[list[Utterance]]]:
-    """The split's independent pieces as lists of row spans (an LSTM's
-    utterance groups, a teacher's ``row_blocks``), shared between at most
-    ``processes``: costliest first (a piece costs its padded slots), each
-    to the least loaded. The first share, a child's, gets the costliest;
-    the last is the caller's."""
+def _shares(params, dataset: FrameDataset, processes: int) -> list[list]:
+    """The split's independent pieces (an LSTM's utterance groups, a
+    teacher's ``row_blocks``) shared between at most ``processes``, and
+    no more than the split's cost holds ``_MIN_SHARE``: costliest first
+    (a group costs its padded slots, a block half its rows), each to the
+    least loaded. The first share, a child's, gets the costliest; the
+    last is the caller's."""
     if _is_lstm(params):
         utts = dataset.utterances
         whole = len(utts) - len(utts) % _EVAL_GROUP
         ordered = sorted(utts[:whole], key=lambda u: u.count) + utts[whole:]
         pieces = [ordered[i : i + _EVAL_GROUP] for i in range(0, len(ordered), _EVAL_GROUP)]
+        costs = [len(group) * max(u.count for u in group) for group in pieces]
     else:
-        blocks = row_blocks(dataset.total_frames)
-        pieces = [[Utterance(0, b.start, b.stop - b.start)] for b in blocks]
-    processes = min(processes, len(pieces))
+        pieces = row_blocks(dataset.total_frames)
+        costs = [(rows.stop - rows.start) // 2 for rows in pieces]
+    processes = max(1, min(processes, len(pieces), sum(costs) // _MIN_SHARE))
     shares, loads = [[] for _ in range(processes)], [0] * processes
-    for cost, piece in sorted(((len(p) * max(u.count for u in p), p) for p in pieces),
-                              key=lambda c: c[0], reverse=True):
+    for cost, piece in sorted(zip(costs, pieces), key=lambda c: c[0], reverse=True):
         k = loads.index(min(loads))
         shares[k].append(piece)
         loads[k] += cost
     return shares
 
 
-def _rows(span: Utterance) -> slice:
-    return slice(span.offset, span.offset + span.count)
-
-
-def _score(params, dataset: FrameDataset, pieces, each) -> None:
-    """``each(rows, logits)`` for every span of ``pieces``, one piece's
-    forward at a time; a group runs in ``_EVAL_BLOCK``-frame blocks."""
-    for piece in pieces:
+def _score(params, dataset: FrameDataset, share, each) -> None:
+    """``each(rows, logits)`` for every utterance or row block of
+    ``share``, one piece's forward at a time; a group runs in
+    ``_EVAL_BLOCK``-frame blocks."""
+    for piece in share:
         if not _is_lstm(params):
-            logits = ff_forward(params, dataset.features[_rows(piece[0])])[np.newaxis]
-        else:
-            frames = max(u.count for u in piece)
-            feats = np.zeros((len(piece), frames, dataset.feature_dim))
-            for s, u in enumerate(piece):
-                feats[s, : u.count] = dataset.features[_rows(u)]
-            logits = np.empty((len(piece), frames, params.output_dim))
-            state = zeros_state(params, len(piece))
-            for lo in range(0, frames, _EVAL_BLOCK):
-                block = slice(lo, lo + _EVAL_BLOCK)
-                logits[:, block], state, _ = lstm_forward_batch(params, feats[:, block], state,
-                                                                cache=False)
+            each(piece, ff_forward(params, dataset.features[piece]))
+            continue
+        frames = max(u.count for u in piece)
+        feats = np.zeros((len(piece), frames, dataset.feature_dim))
         for s, u in enumerate(piece):
-            each(_rows(u), logits[s, : u.count])
+            feats[s, : u.count] = dataset.features[u.offset : u.offset + u.count]
+        logits = np.empty((len(piece), frames, params.output_dim))
+        state = zeros_state(params, len(piece))
+        for lo in range(0, frames, _EVAL_BLOCK):
+            block = slice(lo, lo + _EVAL_BLOCK)
+            logits[:, block], state, _ = lstm_forward_batch(params, feats[:, block], state,
+                                                            cache=False)
+        for s, u in enumerate(piece):
+            each(slice(u.offset, u.offset + u.count), logits[s, : u.count])
 
 
-def _places(share):
-    """(rows, the rows of a child's buffer that hold their logits) per span of ``share``."""
-    at = 0
-    for u in (u for piece in share for u in piece):
-        yield _rows(u), slice(at, at + u.count)
-        at += u.count
+def _layout(params, share) -> np.ndarray:
+    """(first row, row past the last, row past the last in a child's
+    buffer) per utterance or row block of ``share``, in row order: the
+    buffer holds their logits end to end."""
+    spans = np.array(sorted((u.offset, u.offset + u.count) for group in share for u in group)
+                     if _is_lstm(params) else sorted((r.start, r.stop) for r in share))
+    return np.column_stack([spans, np.cumsum(spans[:, 1] - spans[:, 0])])
 
 
 def _fork(params, dataset: FrameDataset, share):
-    """(pid, the read end of its pipe, its logits) of a child that scores
-    ``share`` into a shared buffer sized to it, sends one byte and leaves
-    by ``os._exit``, which flushes none of this process's buffers."""
-    rows = sum(u.count for piece in share for u in piece)
-    logits = np.frombuffer(mmap.mmap(-1, rows * params.output_dim * 8)).reshape(rows, -1)
+    """(pid, the read end of its pipe, ``_layout``, logits) of a child that
+    scores ``share`` into a shared buffer sized to it, sends one byte and
+    leaves by ``os._exit``, which flushes none of this process's buffers."""
+    layout = _layout(params, share)
+    logits = np.frombuffer(mmap.mmap(-1, int(layout[-1, 2]) * params.output_dim * 8))
+    logits = logits.reshape(-1, params.output_dim)
+
+    def place(rows, z):
+        end = layout[np.searchsorted(layout[:, 0], rows.start), 2]
+        logits[end - len(z) : end] = z
+
     read, write = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
             try:
                 gc.disable()  # a collection could run a finalizer of the parent's objects
-                places = _places(share)
-                _score(params, dataset, share, lambda _, z: logits.__setitem__(next(places)[1], z))
+                _score(params, dataset, share, place)
                 os.write(write, b"\1")
             finally:
                 os._exit(0)
@@ -285,7 +301,7 @@ def _fork(params, dataset: FrameDataset, share):
         raise
     finally:
         os.close(write)
-    return pid, read, logits
+    return pid, read, layout, logits
 
 
 def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
@@ -297,10 +313,12 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
     made; without it, the split's logits are returned. A model whose
     input or output width is not the split's is AlignmentError.
 
-    A forked child per further CPU scores a share (``_shares``); one that
-    sends no byte (a crash, a kill, non-finite logits) has it scored
-    here, so an error is the serial one. Every child is reaped before
-    this returns or raises. The bits do not depend on the process count."""
+    A forked child per further CPU (``_scoring_cpus``) scores a share
+    when the split costs enough (``_shares``); one that sends no byte (a
+    crash, a kill, non-finite logits) or none in time (``_HUNG``) has it
+    scored here, so an error is the serial one. Every child is reaped
+    before this returns or raises. The bits do not depend on the
+    process count."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
     if (params.input_dim, params.output_dim) != (dataset.feature_dim, dataset.num_classes):
@@ -316,15 +334,19 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
                 children.append((*_fork(params, dataset, share), share))
             except OSError:  # no process to spare: score the share here
                 mine += share
+        started = time.perf_counter()
         _score(params, dataset, mine, each)
-        for _, read, logits, share in children:
-            if os.read(read, 1) == b"\1":
-                for rows, at in _places(share):
-                    each(rows, logits[at])
-            else:  # the child sent no byte: score its share here
+        hung = time.perf_counter() + _HUNG[0] + _HUNG[1] * (time.perf_counter() - started)
+        for _, read, layout, logits, share in children:
+            poll = select.poll()
+            poll.register(read, select.POLLIN)
+            if poll.poll(max(0.0, hung - time.perf_counter()) * 1e3) and os.read(read, 1) == b"\1":
+                for start, stop, end in layout.tolist():
+                    each(slice(start, stop), logits[end - stop + start : end])
+            else:  # no byte from the child in time: score its share here
                 _score(params, dataset, share, each)
     finally:  # a child that sent its byte has nothing left to do
-        for pid, read, _, _ in children:
+        for pid, read, *_ in children:
             os.kill(pid, signal.SIGKILL)
             os.close(read)
             os.waitpid(pid, 0)
@@ -387,8 +409,11 @@ class GradVarianceAccumulator:
         first = self.sum_sq_diff / n
         mean_gap = self.sum_t / n - self.sum_y / n
         per_class = first - mean_gap * mean_gap
-        return VarianceReport(per_class, total=float(per_class.sum()),
-                              first_term=float(first.sum()))
+        return VarianceReport(
+            per_class=per_class,
+            total=float(per_class.sum()),
+            first_term=float(first.sum()),
+        )
 
 
 @dataclass
@@ -529,8 +554,11 @@ def _train_epoch(
         flat_labels = batch.labels.ravel()
         flat_mask = batch.mask.ravel()
         losses, grads, t_inst, y_inst = frame_objective(
-            spec, flat_logits, flat_labels,
-            None if batch.targets is None else batch.targets.reshape(-1, k))
+            spec,
+            flat_logits,
+            flat_labels,
+            None if batch.targets is None else batch.targets.reshape(-1, k),
+        )
         grads[~flat_mask] = 0.0
         loss_sum += float(losses[flat_mask].sum())
         n_frames += int(flat_mask.sum())
@@ -588,12 +616,22 @@ def run_training(
         if teacher is None:
             raise InvalidArgumentError(f"regime {spec.mode!r} requires the teacher model")
         targets = ff_forward(teacher, train_set.features)
-    phases = [(DistillLossSpec(mode, spec.alpha, spec.temperature),
-               schedule.pretrain_switch_epoch if n < len(regime.phases) - 1 else None)
-              for n, mode in enumerate(regime.phases)]
+    phases = [
+        (
+            DistillLossSpec(mode, spec.alpha, spec.temperature),
+            schedule.pretrain_switch_epoch if n < len(regime.phases) - 1 else None,
+        )
+        for n, mode in enumerate(regime.phases)
+    ]
 
-    record = RunRecord(model=model_tag, regime=spec.mode, temperature=spec.temperature,
-                       alpha=spec.alpha, seed=master_seed, config_digest=config_digest)
+    record = RunRecord(
+        model=model_tag,
+        regime=spec.mode,
+        temperature=spec.temperature,
+        alpha=spec.alpha,
+        seed=master_seed,
+        config_digest=config_digest,
+    )
     epoch_global = 0
     last_good = params.copy()
     for phase_spec, forced_epochs in phases:
@@ -618,18 +656,30 @@ def run_training(
                     )
                     cv_fa = frame_accuracy(params, cv_set)
             except NumericOverflowError as exc:
-                raise TrainingAborted(f"numeric overflow in epoch {epoch_global + 1} "
-                                      f"(phase {phase_spec.mode!r}): {exc}",
-                                      record, last_good) from exc
-            record.epochs.append(EpochStats(
-                epoch=epoch_global + 1, learning_rate=opt.learning_rate, mean_loss=mean_loss,
-                train_accuracy=tr_fa, cv_accuracy=cv_fa, grad_variance=var.total,
-                grad_variance_first_term=var.first_term,
-                wall_seconds=time.perf_counter() - started))
+                raise TrainingAborted(
+                    f"numeric overflow in epoch {epoch_global + 1} "
+                    f"(phase {phase_spec.mode!r}): {exc}",
+                    record,
+                    last_good,
+                ) from exc
+            record.epochs.append(
+                EpochStats(
+                    epoch=epoch_global + 1,
+                    learning_rate=opt.learning_rate,
+                    mean_loss=mean_loss,
+                    train_accuracy=tr_fa,
+                    cv_accuracy=cv_fa,
+                    grad_variance=var.total,
+                    grad_variance_first_term=var.first_term,
+                    wall_seconds=time.perf_counter() - started,
+                )
+            )
             if log is not None:
-                log(f"[{model_tag}/{spec.mode} seed {master_seed}] epoch {epoch_global + 1}: "
+                log(
+                    f"[{model_tag}/{spec.mode} seed {master_seed}] epoch {epoch_global + 1}: "
                     f"loss {mean_loss:.4f} tr_fa {tr_fa:.2f} cv_fa {cv_fa:.2f} "
-                    f"lr {opt.learning_rate:g}")
+                    f"lr {opt.learning_rate:g}"
+                )
             last_good = params.copy()
             epoch_global += 1
             phase_epochs += 1

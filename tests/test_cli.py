@@ -239,12 +239,13 @@ def test_parallel_workers_score_in_one_process(done, tmp_path, monkeypatch):
     assert initializers == [training.score_serially]
     with pool_class(1, initializer=training.score_serially) as pool:
         assert pool.submit(training._scoring_cpus).result() == 1
-    assert training._scoring_cpus() == len(os.sched_getaffinity(0))
+    assert training._scoring_cpus() == min(2, len(os.sched_getaffinity(0)))
 
 
 # Runs the command line with every score shared between three processes.
 _SPLIT_CLI = ("import sys; from kdtrain import cli, training; "
-              "training._scoring_cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))")
+              "training._scoring_cpus = lambda: 3; training._MIN_SHARE = 1; "
+              "sys.exit(cli.main(sys.argv[1:]))")
 
 
 def kdtrain_process(*argv):
@@ -283,7 +284,7 @@ def test_split_score_at_default_blas_threads_equals_the_serial_one(tmp_path):
     code = ("import sys, hashlib, numpy as np; from kdtrain import training; "
             "from kdtrain.datasets import SynthTaskSpec, generate_synth; "
             "from kdtrain.feedforward import init_feedforward; from kdtrain.lstm import init_lstm; "
-            "training._scoring_cpus = lambda: int(sys.argv[1]); "
+            "training._scoring_cpus = lambda: int(sys.argv[1]); training._MIN_SHARE = 1; "
             "split = generate_synth(SynthTaskSpec(train_utterances=70), 5).train; "
             "rng = np.random.default_rng(6); "
             "models = [init_feedforward([20, 256, 256, 10], rng), "

@@ -341,20 +341,28 @@ def traced_peak(fn, *args):
 _SLACK = 2**17  # bytes of small transients: states, one block's input and logits
 
 
+def score_in(monkeypatch, processes):
+    """Score in ``processes`` processes from here on, however little a
+    share costs."""
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: processes)
+    monkeypatch.setattr(training, "_MIN_SHARE", 1)
+
+
 def shared_buffers(monkeypatch, processes):
     """Score in ``processes`` processes from here on; the list returned
     gathers the bytes of each child's shared buffer, which tracemalloc
     does not see, each checked to hold its share's logits and no more."""
-    monkeypatch.setattr(training, "_scoring_cpus", lambda: processes)
+    score_in(monkeypatch, processes)
     sizes = []
     fork = training._fork
 
     def recording(params, dataset, share):
-        pid, read, logits = fork(params, dataset, share)
-        rows = sum(u.count for piece in share for u in piece)
+        pid, read, layout, logits = fork(params, dataset, share)
+        rows = (sum(u.count for group in share for u in group) if training._is_lstm(params)
+                else sum(r.stop - r.start for r in share))
         assert logits.nbytes == rows * params.output_dim * 8 and rows < dataset.total_frames
         sizes.append(logits.nbytes)
-        return pid, read, logits
+        return pid, read, layout, logits
 
     monkeypatch.setattr(training, "_fork", recording)
     return sizes
@@ -556,9 +564,10 @@ def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeyp
     """Scored in 1, 2 or 3 processes, a teacher and an LSTM give the bits
     of the serial score and of the references; a child scores a share
     whenever there is more than one process and more than one piece,
-    and none is left once a score returns."""
+    the caller takes the children's logits without scoring their shares
+    again, and no child is left once a score returns."""
     cases = split_cases(ragged_split)
-    monkeypatch.setattr(training, "_scoring_cpus", lambda: 1)
+    score_in(monkeypatch, 1)
     serial = [eval_logits(params, split) for params, split, _ in cases]
     for (params, split, pieces), want in zip(cases, serial):
         assert len(training._shares(params, split, 99)) == pieces
@@ -566,20 +575,30 @@ def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeyp
                      else ff_forward(params, split.features))
         assert want.tobytes() == reference.tobytes()
     shared = shared_buffers(monkeypatch, processes)
+    caller, score, here = os.getpid(), training._score, []
+
+    def counting(*args):
+        here.extend([None] if os.getpid() == caller else [])
+        return score(*args)
+
+    monkeypatch.setattr(training, "_score", counting)
     for (params, split, pieces), want in zip(cases, serial):
-        del shared[:]
+        del shared[:], here[:]
         assert_scores_have_the_bits(params, split, want)
         assert len(shared) == 2 * (min(processes, pieces) - 1)
+        assert len(here) == 2  # the caller's own share in each mode, no child's
         assert_no_child_left()
 
 
-def test_each_piece_goes_to_the_least_loaded_process_costliest_first(ragged_split):
+def test_each_piece_goes_to_the_least_loaded_process_costliest_first(ragged_split,
+                                                                    monkeypatch):
     """Every group lands in one share; the first share, a child's, holds
     the costliest; and no share's last piece would have gone to a less
     loaded share when it was placed."""
     def cost(piece):
         return len(piece) * max(u.count for u in piece)
 
+    monkeypatch.setattr(training, "_MIN_SHARE", 1)
     student = split_cases(ragged_split)[3][0]
     shares = training._shares(student, ragged_split, 3)
     pieces = sorted((p for share in shares for p in share), key=cost, reverse=True)
@@ -597,7 +616,7 @@ def test_a_child_that_sends_no_byte_changes_no_bit(ragged_split, monkeypatch):
     """A child that exits before its byte has its share scored by the
     caller, with the same bits."""
     cases = split_cases(ragged_split)[1:3] + split_cases(ragged_split)[4:]
-    monkeypatch.setattr(training, "_scoring_cpus", lambda: 1)
+    score_in(monkeypatch, 1)
     serial = [eval_logits(params, split) for params, split, _ in cases]
     caller, score = os.getpid(), training._score
 
@@ -607,7 +626,7 @@ def test_a_child_that_sends_no_byte_changes_no_bit(ragged_split, monkeypatch):
         return score(*args)
 
     monkeypatch.setattr(training, "_score", exiting_in_a_child)
-    monkeypatch.setattr(training, "_scoring_cpus", lambda: 2)
+    score_in(monkeypatch, 2)
     for (params, split, _), want in zip(cases, serial):
         assert_scores_have_the_bits(params, split, want)
         assert_no_child_left()
@@ -619,13 +638,15 @@ def test_non_finite_logits_in_a_childs_share_raise_the_serial_error(ragged_split
     """A NaN feature in the child's share: the child sends no byte, and
     scoring its share here raises the error a serial score raises."""
     params, split, _ = split_cases(ragged_split)[case]
+    monkeypatch.setattr(training, "_MIN_SHARE", 1)
     child = training._shares(params, split, 2)[0]
     features = split.features.copy()
-    features[child[-1][-1].offset] = np.nan
+    last = child[-1]
+    features[last.start if case == 2 else last[-1].offset] = np.nan
     bad = FrameDataset(split.utterances, features, split.labels, split.num_classes)
     errors = []
     for processes in (1, 2):
-        monkeypatch.setattr(training, "_scoring_cpus", lambda: processes)
+        score_in(monkeypatch, processes)
         with pytest.raises(NumericOverflowError) as raised:
             eval_logits(params, bad)
         errors.append(str(raised.value))
@@ -655,7 +676,7 @@ def test_an_error_here_kills_and_reaps_every_child(ragged_split, monkeypatch):
         raise ValueError("stop")
 
     monkeypatch.setattr(training, "_score", sleeping_in_a_child)
-    monkeypatch.setattr(training, "_scoring_cpus", lambda: 3)
+    score_in(monkeypatch, 3)
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
     started = time.monotonic()
     with pytest.raises(ValueError, match="stop"):
@@ -665,6 +686,55 @@ def test_an_error_here_kills_and_reaps_every_child(ragged_split, monkeypatch):
     assert len(statuses) == 2
     assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
     assert_no_child_left()
+
+
+def test_a_child_that_hangs_has_its_share_scored_here(ragged_split, monkeypatch):
+    """A child that sends no byte in time is taken as hung: its share is
+    scored here with the same bits, and it is killed and reaped."""
+    params, split, _ = split_cases(ragged_split)[5]
+    score_in(monkeypatch, 1)
+    want = eval_logits(params, split)
+    caller, score = os.getpid(), training._score
+
+    def hanging_in_a_child(*args):
+        if os.getpid() != caller:
+            time.sleep(60)
+        return score(*args)
+
+    monkeypatch.setattr(training, "_score", hanging_in_a_child)
+    monkeypatch.setattr(training, "_HUNG", (0.2, 0.0))
+    score_in(monkeypatch, 2)
+    started = time.monotonic()
+    assert_scores_have_the_bits(params, split, want)
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_no_share_costs_less_than_its_fork(monkeypatch):
+    """A split shares out to no more processes than its cost (padded
+    slots of utterance groups, half of teacher rows) holds _MIN_SHARE, and a
+    score uses at most _MAX_PROCESSES processes, however many CPUs
+    there are."""
+    rng = np.random.default_rng(42)
+    teacher = init_feedforward([2, 4, 3], rng)
+    student = init_lstm(2, 3, layers=1, cells=4, projection=2, rng=rng)
+    floor = training._MIN_SHARE
+
+    def split(counts):
+        offsets = np.cumsum([0, *counts]).tolist()
+        return FrameDataset([Utterance(i, o, c) for i, (o, c) in enumerate(zip(offsets, counts))],
+                            np.zeros((offsets[-1], 2)), np.zeros(offsets[-1], dtype=np.int64), 3)
+
+    for params, small, large in [
+        # a teacher row block costs half its rows
+        (teacher, split([4 * floor - 400]), split([4 * floor + 400])),
+        (student, split([floor // 32] * 32 + [floor // 32 - 1] * 32), split([floor // 32] * 64)),
+    ]:
+        assert len(training._shares(params, small, 2)) == 1
+        assert len(training._shares(params, large, 2)) == 2
+        assert len(training._shares(params, large, 3)) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+    assert training._scoring_cpus() == training._MAX_PROCESSES == 2
 
 
 def widened(split):
