@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError
-from .feedforward import _BLOCK_ROWS, FeedForwardParams, ff_forward
+from .feedforward import FeedForwardParams, ff_forward, row_blocks
 from .numeric import PROB_CLAMP_MIN, softmax_rows
 
 
@@ -122,10 +122,10 @@ def export_soft_targets(
 
 
 def _float32_softmax(logits: np.ndarray, t: float) -> np.ndarray:
-    """``softmax_rows(logits, t)`` as float32, in row blocks: the same bits."""
+    """``softmax_rows(logits, t)`` as float32, in ``row_blocks``: the same bits."""
     rows = np.empty(logits.shape, dtype=np.float32)
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        rows[lo : lo + _BLOCK_ROWS] = softmax_rows(logits[lo : lo + _BLOCK_ROWS], t)
+    for block in row_blocks(len(rows)):
+        rows[block] = softmax_rows(logits[block], t)
     return rows
 
 

@@ -6,9 +6,9 @@ policy, and gradient-variance instrumentation.
 Everything is deterministic given (config, master seed): the master seed
 splits into per-purpose seeds through numpy SeedSequence, utterances are
 shuffled once per epoch by an epoch-indexed generator, and gradients are
-reduced in a fixed order. Scoring shares a large split between forked
-processes, at most one per CPU (``eval_logits``); the bits do not
-depend on the process count.
+reduced in a fixed order. Scoring shares a large LSTM split between
+forked processes, at most one per CPU, and a teacher scores in the
+caller (``eval_logits``); the bits do not depend on the process count.
 """
 
 import gc
@@ -48,15 +48,15 @@ _SEED_PURPOSES = {"init": 1, "shuffle": 2}
 # S as in manifest-order grouping; so its logits stay bit-identical.
 # A group runs in _EVAL_BLOCK-frame scoring forwards, state carried, so
 # only its projected outputs are block-long; the split identity keeps every bit.
-# Groups and a teacher's row blocks are the pieces eval_logits shares out
-# to processes: a piece's logits depend only on its rows and its S.
+# Groups are the pieces eval_logits shares out to processes: a group's
+# logits depend only on its rows and its S.
 _EVAL_GROUP = 32
 _EVAL_BLOCK = 16
 # A child's share costs at least _MIN_SHARE padded slots of the desk
-# student, about 35 ms of scoring; a desk teacher row takes half as long
-# as a slot. A fork costs about 10 ms: 4 ms to fork, exit and reap, then
-# a fault at the caller's first write to each page, in this call and the
-# next. Measured on 2 CPUs only.
+# student, about 35 ms of scoring; only LSTM groups fork (a teacher's
+# blocks did not repay it). A fork costs about 10 ms: 4 ms to fork, exit
+# and reap, then a fault at the caller's first write to each page, in
+# this call and the next. Measured on 2 CPUs only.
 _MIN_SHARE = 8192
 _MAX_PROCESSES = 2  # 1 after score_serially
 # A child that sends no byte within 1 s + 4 x the caller's own scoring
@@ -218,59 +218,50 @@ def _scoring_cpus() -> int:
     return min(_MAX_PROCESSES, cpus)
 
 
-def _shares(params, dataset: FrameDataset, processes: int) -> list[list]:
-    """The split's independent pieces (an LSTM's utterance groups, a
-    teacher's ``row_blocks``) shared between at most ``processes``, and
-    no more than the split's cost holds ``_MIN_SHARE``: costliest first
-    (a group costs its padded slots, a block half its rows), each to the
-    least loaded. The first share, a child's, gets the costliest; the
-    last is the caller's."""
-    if _is_lstm(params):
-        utts = dataset.utterances
-        whole = len(utts) - len(utts) % _EVAL_GROUP
-        ordered = sorted(utts[:whole], key=lambda u: u.count) + utts[whole:]
-        pieces = [ordered[i : i + _EVAL_GROUP] for i in range(0, len(ordered), _EVAL_GROUP)]
-        costs = [len(group) * max(u.count for u in group) for group in pieces]
-    else:
-        pieces = row_blocks(dataset.total_frames)
-        costs = [(rows.stop - rows.start) // 2 for rows in pieces]
-    processes = max(1, min(processes, len(pieces), sum(costs) // _MIN_SHARE))
+def _shares(dataset: FrameDataset, processes: int) -> list[list]:
+    """An LSTM's utterance groups of the split shared between at most
+    ``processes``, and no more than the split's cost holds
+    ``_MIN_SHARE``: costliest first (a group costs its padded slots),
+    each to the least loaded. The first share, a child's, gets the
+    costliest; the last is the caller's."""
+    utts = dataset.utterances
+    whole = len(utts) - len(utts) % _EVAL_GROUP
+    ordered = sorted(utts[:whole], key=lambda u: u.count) + utts[whole:]
+    groups = [ordered[i : i + _EVAL_GROUP] for i in range(0, len(ordered), _EVAL_GROUP)]
+    costs = [len(group) * max(u.count for u in group) for group in groups]
+    processes = max(1, min(processes, len(groups), sum(costs) // _MIN_SHARE))
     shares, loads = [[] for _ in range(processes)], [0] * processes
-    for cost, piece in sorted(zip(costs, pieces), key=lambda c: c[0], reverse=True):
+    for cost, group in sorted(zip(costs, groups), key=lambda c: c[0], reverse=True):
         k = loads.index(min(loads))
-        shares[k].append(piece)
+        shares[k].append(group)
         loads[k] += cost
     return shares
 
 
 def _score(params, dataset: FrameDataset, share, each) -> None:
-    """``each(rows, logits)`` for every utterance or row block of
-    ``share``, one piece's forward at a time; a group runs in
-    ``_EVAL_BLOCK``-frame blocks."""
-    for piece in share:
-        if not _is_lstm(params):
-            each(piece, ff_forward(params, dataset.features[piece]))
-            continue
-        frames = max(u.count for u in piece)
-        feats = np.zeros((len(piece), frames, dataset.feature_dim))
-        for s, u in enumerate(piece):
+    """``each(rows, logits)`` for every utterance of ``share``'s LSTM
+    groups, one group's forward at a time, in ``_EVAL_BLOCK``-frame
+    blocks."""
+    for group in share:
+        frames = max(u.count for u in group)
+        feats = np.zeros((len(group), frames, dataset.feature_dim))
+        for s, u in enumerate(group):
             feats[s, : u.count] = dataset.features[u.offset : u.offset + u.count]
-        logits = np.empty((len(piece), frames, params.output_dim))
-        state = zeros_state(params, len(piece))
+        logits = np.empty((len(group), frames, params.output_dim))
+        state = zeros_state(params, len(group))
         for lo in range(0, frames, _EVAL_BLOCK):
             block = slice(lo, lo + _EVAL_BLOCK)
             logits[:, block], state, _ = lstm_forward_batch(params, feats[:, block], state,
                                                             cache=False)
-        for s, u in enumerate(piece):
+        for s, u in enumerate(group):
             each(slice(u.offset, u.offset + u.count), logits[s, : u.count])
 
 
-def _layout(params, share) -> np.ndarray:
+def _layout(share) -> np.ndarray:
     """(first row, row past the last, row past the last in a child's
-    buffer) per utterance or row block of ``share``, in row order: the
+    buffer) per utterance of ``share``'s groups, in row order: the
     buffer holds their logits end to end."""
-    spans = np.array(sorted((u.offset, u.offset + u.count) for group in share for u in group)
-                     if _is_lstm(params) else sorted((r.start, r.stop) for r in share))
+    spans = np.array(sorted((u.offset, u.offset + u.count) for group in share for u in group))
     return np.column_stack([spans, np.cumsum(spans[:, 1] - spans[:, 0])])
 
 
@@ -278,7 +269,7 @@ def _fork(params, dataset: FrameDataset, share):
     """(pid, the read end of its pipe, ``_layout``, logits) of a child that
     scores ``share`` into a shared buffer sized to it, sends one byte and
     leaves by ``os._exit``, which flushes none of this process's buffers."""
-    layout = _layout(params, share)
+    layout = _layout(share)
     logits = np.frombuffer(mmap.mmap(-1, int(layout[-1, 2]) * params.output_dim * 8))
     logits = logits.reshape(-1, params.output_dim)
 
@@ -313,12 +304,13 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
     made; without it, the split's logits are returned. A model whose
     input or output width is not the split's is AlignmentError.
 
-    A forked child per further CPU (``_scoring_cpus``) scores a share
-    when the split costs enough (``_shares``); one that sends no byte (a
-    crash, a kill, non-finite logits) or none in time (``_HUNG``) has it
-    scored here, so an error is the serial one. Every child is reaped
-    before this returns or raises. The bits do not depend on the
-    process count."""
+    A teacher scores its row blocks here, one ``ff_forward`` each. An
+    LSTM's groups are shared out: a forked child per further CPU
+    (``_scoring_cpus``) scores a share when the split costs enough
+    (``_shares``); one that sends no byte (a crash, a kill, non-finite
+    logits) or none in time (``_HUNG``) has it scored here, so an error
+    is the serial one. Every child is reaped before this returns or
+    raises. The bits do not depend on the process count."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
     if (params.input_dim, params.output_dim) != (dataset.feature_dim, dataset.num_classes):
@@ -326,7 +318,11 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
                              f"fit a split of D={dataset.feature_dim}, K={dataset.num_classes}")
     out = np.empty((dataset.total_frames, params.output_dim)) if each is None else None
     each = each or out.__setitem__
-    *shares, mine = _shares(params, dataset, _scoring_cpus())
+    if not _is_lstm(params):
+        for rows in row_blocks(dataset.total_frames):
+            each(rows, ff_forward(params, dataset.features[rows]))
+        return out
+    *shares, mine = _shares(dataset, _scoring_cpus())
     children = []
     try:
         for share in shares:
@@ -508,28 +504,21 @@ class TrainingAborted(NumericOverflowError):
 
 
 def _forward_training(params, batch: Batch, state):
-    """(logits, state out, cache) for one batch; an LSTM starts from a
-    zero state when ``state`` is None."""
+    """(logits, state out, backward) for one batch, where
+    ``backward(logit_grads)`` returns the parameter gradients; an LSTM
+    starts from a zero state when ``state`` is None."""
     if _is_lstm(params):
         if state is None:
             state = zeros_state(params, len(batch.resets))
         for c, r in zip(state.cells, state.projected):
             c[batch.resets] = 0.0
             r[batch.resets] = 0.0
-        return lstm_forward_batch(params, batch.features, state)
+        logits, state, cache = lstm_forward_batch(params, batch.features, state)
+        return logits, state, lambda grads: lstm_backward_batch(params, cache, grads)
     s, f, d = batch.features.shape
-    hidden = []
-    logits = ff_forward(params, batch.features.reshape(s * f, d), hidden).reshape(s, f, -1)
-    return logits, None, hidden
-
-
-def _backward_training(params, batch: Batch, cache, logit_grads: np.ndarray):
-    if _is_lstm(params):
-        return lstm_backward_batch(params, cache, logit_grads)
-    s, f, d = batch.features.shape
-    return ff_backward(
-        params, batch.features.reshape(s * f, d), logit_grads.reshape(s * f, -1), cache
-    )
+    x, hidden = batch.features.reshape(s * f, d), []
+    logits = ff_forward(params, x, hidden).reshape(s, f, -1)
+    return logits, None, lambda grads: ff_backward(params, x, grads.reshape(s * f, -1), hidden)
 
 
 def _train_epoch(
@@ -549,7 +538,7 @@ def _train_epoch(
     n_correct = 0
     var_acc = GradVarianceAccumulator.for_classes(k)
     for batch in iter_batches(train_set, order, schedule.streams, schedule.window, targets):
-        logits, state, cache = _forward_training(params, batch, state)
+        logits, state, backward = _forward_training(params, batch, state)
         flat_logits = logits.reshape(-1, k)
         flat_labels = batch.labels.ravel()
         flat_mask = batch.mask.ravel()
@@ -565,8 +554,7 @@ def _train_epoch(
         pred = np.argmax(flat_logits, axis=1)
         n_correct += int(((pred == flat_labels) & flat_mask).sum())
         var_acc.add(t_inst[flat_mask], y_inst[flat_mask])
-        param_grads = _backward_training(params, batch, cache, grads.reshape(logits.shape))
-        sgd_momentum_step(params, param_grads, opt)
+        sgd_momentum_step(params, backward(grads.reshape(logits.shape)), opt)
     return loss_sum / max(n_frames, 1), 100.0 * n_correct / max(n_frames, 1), var_acc.report()
 
 

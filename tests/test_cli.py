@@ -242,7 +242,7 @@ def test_parallel_workers_score_in_one_process(done, tmp_path, monkeypatch):
     assert training._scoring_cpus() == min(2, len(os.sched_getaffinity(0)))
 
 
-# Runs the command line with every score shared between three processes.
+# Runs the command line with every LSTM score shared between three processes.
 _SPLIT_CLI = ("import sys; from kdtrain import cli, training; "
               "training._scoring_cpus = lambda: 3; training._MIN_SHARE = 1; "
               "sys.exit(cli.main(sys.argv[1:]))")
@@ -259,8 +259,8 @@ def kdtrain_process(*argv):
 
 def test_split_scores_print_each_line_once(tmp_path):
     """Children leave without flushing the parent's buffered output, so
-    train-teacher, train-student and eval print each line once while
-    their cv and test scores are shared out."""
+    train-student and eval print each line once while their cv and test
+    scores are shared out, and so does train-teacher, which forks none."""
     config = write_config(tmp_path / "split.yaml", task={"cv_utterances": 70,
                                                           "test_utterances": 70})
     out = tmp_path / "out"
@@ -278,9 +278,9 @@ def test_split_scores_print_each_line_once(tmp_path):
 
 
 def test_split_score_at_default_blas_threads_equals_the_serial_one(tmp_path):
-    """With the BLAS thread count left at its default, a teacher and an
-    LSTM scored in three processes finish and give the logits of a
-    serial score at one BLAS thread."""
+    """With the BLAS thread count left at its default, a teacher scored
+    in the caller and an LSTM scored in three processes finish and give
+    the logits of a serial score at one BLAS thread."""
     code = ("import sys, hashlib, numpy as np; from kdtrain import training; "
             "from kdtrain.datasets import SynthTaskSpec, generate_synth; "
             "from kdtrain.feedforward import init_feedforward; from kdtrain.lstm import init_lstm; "
@@ -454,7 +454,9 @@ def test_noise_past_float32_exits_2_and_writes_nothing(tmp_path, capsys):
     (["eval", "--split", "cv", "--model"], init_feedforward([4, 8, 4], np.random.default_rng(5))),
     (["variance-report", "--student"],
      init_lstm(5, 3, layers=1, cells=6, projection=3, rng=np.random.default_rng(5))),
-], ids=["eval-K", "eval-D", "variance-report-K"])
+    (["variance-report", "--student"],
+     init_lstm(4, 4, layers=1, cells=6, projection=3, rng=np.random.default_rng(5))),
+], ids=["eval-K", "eval-D", "variance-report-K", "variance-report-D"])
 def test_model_that_does_not_fit_the_split_exits_3(done, tmp_path, capsys, command, model):
     config, out = done
     path = tmp_path / "misfit.dkdm"

@@ -324,7 +324,7 @@ class TestExportSoftTargets:
 
     def test_every_set_bit_equals_softmax_of_the_teacher_logits(self):
         """Each set holds the float32 rounding of the whole-split softmax,
-        although it is softmaxed in row blocks, a short last one too."""
+        although it is softmaxed in near-equal row blocks."""
         spec = SynthTaskSpec(num_classes=4, feature_dim=5, noise_scale=1.0,
                              train_utterances=30, cv_utterances=1, test_utterances=1)
         split = generate_synth(spec, 12).train

@@ -19,7 +19,7 @@ from kdtrain import training
 from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import DistillLossSpec, SoftTargetSet, export_soft_targets, one_hot_rows
 from kdtrain.errors import AlignmentError, InvalidArgumentError, NumericOverflowError
-from kdtrain.feedforward import _BLOCK_ROWS, ff_forward, init_feedforward
+from kdtrain.feedforward import _BLOCK_ROWS, ff_forward, init_feedforward, row_blocks
 from kdtrain.formats import read_soft_targets, write_soft_targets
 from kdtrain.lstm import init_lstm, lstm_forward_batch, zeros_state
 from kdtrain.training import (
@@ -358,8 +358,7 @@ def shared_buffers(monkeypatch, processes):
 
     def recording(params, dataset, share):
         pid, read, layout, logits = fork(params, dataset, share)
-        rows = (sum(u.count for group in share for u in group) if training._is_lstm(params)
-                else sum(r.stop - r.start for r in share))
+        rows = sum(u.count for group in share for u in group)
         assert logits.nbytes == rows * params.output_dim * 8 and rows < dataset.total_frames
         sizes.append(logits.nbytes)
         return pid, read, layout, logits
@@ -391,7 +390,7 @@ def test_lstm_eval_memory_is_bounded_by_the_frame_block(monkeypatch):
 def test_teacher_eval_memory_is_bounded_by_the_row_block(monkeypatch):
     """A teacher eval over several row blocks holds two block-high
     hidden matrices at a time, not two split-high ones, beside the
-    split's logits; its child's shared buffer holds less than those."""
+    split's logits; it forks no child, so no shared buffer holds more."""
     rows, width = 5 * _BLOCK_ROWS + 77, 128
     rng = np.random.default_rng(36)
     split = FrameDataset(
@@ -402,13 +401,13 @@ def test_teacher_eval_memory_is_bounded_by_the_row_block(monkeypatch):
     shared = shared_buffers(monkeypatch, 2)
     out, peak = traced_peak(eval_logits, teacher, split)
     assert peak <= out.nbytes + 2 * _BLOCK_ROWS * width * 8 + _SLACK
-    assert len(shared) == 1 and sum(shared) < out.nbytes
+    assert shared == []
 
 
 def test_teacher_eval_makes_no_float64_copy_of_a_float32_split(monkeypatch):
     """The split holds float32 features; a teacher eval widens one row
     block at a time, so it holds far less than the split in float64,
-    with its child's shared buffer too."""
+    and it forks no child, so no shared buffer holds more."""
     rows, d, width = 5 * _BLOCK_ROWS + 77, 64, 8
     rng = np.random.default_rng(37)
     split = FrameDataset(
@@ -421,7 +420,7 @@ def test_teacher_eval_makes_no_float64_copy_of_a_float32_split(monkeypatch):
     out, peak = traced_peak(eval_logits, teacher, split)
     bound = out.nbytes + _BLOCK_ROWS * (d + 2 * width) * 8 + _SLACK
     assert peak <= bound < split.features.size * 8
-    assert len(shared) == 1 and peak + sum(shared) < split.features.size * 8
+    assert shared == []
 
 
 def reference_accuracy(params, dataset):
@@ -497,8 +496,9 @@ def test_frame_accuracy_holds_less_than_the_split_logits(monkeypatch):
     """A teacher's score holds one row block's input, hidden matrix
     and logits at a time; an LSTM's one group's padded input and
     logits, and one frame block's logits twice (the forward's and their
-    stream-major copy). Beside that, the child's shared buffer holds its
-    share's logits, and neither score holds the split's."""
+    stream-major copy). The teacher forks no child; beside the LSTM's
+    score, the child's shared buffer holds its share's logits; and
+    neither score holds the split's."""
     rng = np.random.default_rng(40)
     d, k, frames, count = 5, 40, 30, 8 * training._EVAL_GROUP
     split = FrameDataset(
@@ -510,7 +510,7 @@ def test_frame_accuracy_holds_less_than_the_split_logits(monkeypatch):
     teacher = init_feedforward([d, 16, k], rng, scale=0.5)
     _, peak = traced_peak(frame_accuracy, teacher, split)
     assert peak <= _BLOCK_ROWS * (d + 16 + 2 * k) * 8 + _SLACK < logits
-    assert len(shared) == 1 and peak + shared.pop() < logits
+    assert shared == []
     student = init_lstm(d, k, layers=1, cells=16, projection=8, rng=rng, scale=0.5)
     _, peak = traced_peak(frame_accuracy, student, split)
     group = training._EVAL_GROUP * (frames * (d + k) + 2 * training._EVAL_BLOCK * k) * 8
@@ -562,17 +562,21 @@ def assert_scores_have_the_bits(params, split, want):
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeypatch, processes):
     """Scored in 1, 2 or 3 processes, a teacher and an LSTM give the bits
-    of the serial score and of the references; a child scores a share
-    whenever there is more than one process and more than one piece,
-    the caller takes the children's logits without scoring their shares
-    again, and no child is left once a score returns."""
+    of the serial score and of the references; a teacher forks no child,
+    an LSTM's child scores a share whenever there is more than one
+    process and more than one group, the caller takes the children's
+    logits without scoring their shares again, and no child is left once
+    a score returns."""
     cases = split_cases(ragged_split)
     score_in(monkeypatch, 1)
     serial = [eval_logits(params, split) for params, split, _ in cases]
     for (params, split, pieces), want in zip(cases, serial):
-        assert len(training._shares(params, split, 99)) == pieces
-        reference = (manifest_order_logits(params, split) if training._is_lstm(params)
-                     else ff_forward(params, split.features))
+        if training._is_lstm(params):
+            assert len(training._shares(split, 99)) == pieces
+            reference = manifest_order_logits(params, split)
+        else:
+            assert len(row_blocks(split.total_frames)) == pieces
+            reference = ff_forward(params, split.features)
         assert want.tobytes() == reference.tobytes()
     shared = shared_buffers(monkeypatch, processes)
     caller, score, here = os.getpid(), training._score, []
@@ -585,8 +589,11 @@ def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeyp
     for (params, split, pieces), want in zip(cases, serial):
         del shared[:], here[:]
         assert_scores_have_the_bits(params, split, want)
-        assert len(shared) == 2 * (min(processes, pieces) - 1)
-        assert len(here) == 2  # the caller's own share in each mode, no child's
+        if training._is_lstm(params):
+            assert len(shared) == 2 * (min(processes, pieces) - 1)
+            assert len(here) == 2  # the caller's own share in each mode, no child's
+        else:
+            assert shared == [] and here == []
         assert_no_child_left()
 
 
@@ -599,8 +606,7 @@ def test_each_piece_goes_to_the_least_loaded_process_costliest_first(ragged_spli
         return len(piece) * max(u.count for u in piece)
 
     monkeypatch.setattr(training, "_MIN_SHARE", 1)
-    student = split_cases(ragged_split)[3][0]
-    shares = training._shares(student, ragged_split, 3)
+    shares = training._shares(ragged_split, 3)
     pieces = sorted((p for share in shares for p in share), key=cost, reverse=True)
     assert len(shares) == 3 and len(pieces) == 5
     assert sorted(u.uid for p in pieces for u in p) == [u.uid for u in ragged_split.utterances]
@@ -635,21 +641,23 @@ def test_a_child_that_sends_no_byte_changes_no_bit(ragged_split, monkeypatch):
 @pytest.mark.parametrize("case", [2, 5], ids=["teacher", "lstm"])
 def test_non_finite_logits_in_a_childs_share_raise_the_serial_error(ragged_split, monkeypatch,
                                                                     case):
-    """A NaN feature in the child's share: the child sends no byte, and
-    scoring its share here raises the error a serial score raises."""
+    """A NaN feature in an LSTM child's share: the child sends no byte,
+    and scoring its share here raises the error a serial score raises.
+    A teacher forks no child and raises that error here."""
     params, split, _ = split_cases(ragged_split)[case]
     monkeypatch.setattr(training, "_MIN_SHARE", 1)
-    child = training._shares(params, split, 2)[0]
     features = split.features.copy()
-    last = child[-1]
-    features[last.start if case == 2 else last[-1].offset] = np.nan
+    lstm = training._is_lstm(params)
+    features[training._shares(split, 2)[0][-1][-1].offset if lstm
+             else row_blocks(split.total_frames)[-1].start] = np.nan
     bad = FrameDataset(split.utterances, features, split.labels, split.num_classes)
     errors = []
     for processes in (1, 2):
-        score_in(monkeypatch, processes)
+        shared = shared_buffers(monkeypatch, processes)
         with pytest.raises(NumericOverflowError) as raised:
             eval_logits(params, bad)
         errors.append(str(raised.value))
+        assert len(shared) == (processes - 1 if lstm else 0)
         assert_no_child_left()
     assert errors[0] == errors[1] and "non-finite" in errors[0]
 
@@ -712,12 +720,12 @@ def test_a_child_that_hangs_has_its_share_scored_here(ragged_split, monkeypatch)
 
 def test_no_share_costs_less_than_its_fork(monkeypatch):
     """A split shares out to no more processes than its cost (padded
-    slots of utterance groups, half of teacher rows) holds _MIN_SHARE, and a
-    score uses at most _MAX_PROCESSES processes, however many CPUs
-    there are."""
+    slots of utterance groups) holds _MIN_SHARE; a teacher split of
+    4 x _MIN_SHARE + 400 rows, which forked when a teacher row cost half
+    a slot, scores with no child; and a score uses at most
+    _MAX_PROCESSES processes, however many CPUs there are."""
     rng = np.random.default_rng(42)
     teacher = init_feedforward([2, 4, 3], rng)
-    student = init_lstm(2, 3, layers=1, cells=4, projection=2, rng=rng)
     floor = training._MIN_SHARE
 
     def split(counts):
@@ -725,14 +733,16 @@ def test_no_share_costs_less_than_its_fork(monkeypatch):
         return FrameDataset([Utterance(i, o, c) for i, (o, c) in enumerate(zip(offsets, counts))],
                             np.zeros((offsets[-1], 2)), np.zeros(offsets[-1], dtype=np.int64), 3)
 
-    for params, small, large in [
-        # a teacher row block costs half its rows
-        (teacher, split([4 * floor - 400]), split([4 * floor + 400])),
-        (student, split([floor // 32] * 32 + [floor // 32 - 1] * 32), split([floor // 32] * 64)),
-    ]:
-        assert len(training._shares(params, small, 2)) == 1
-        assert len(training._shares(params, large, 2)) == 2
-        assert len(training._shares(params, large, 3)) == 2
+    small, large = split([floor // 32] * 32 + [floor // 32 - 1] * 32), split([floor // 32] * 64)
+    assert len(training._shares(small, 2)) == 1
+    assert len(training._shares(large, 2)) == 2
+    assert len(training._shares(large, 3)) == 2
+    monkeypatch.setattr(training, "_scoring_cpus", lambda: 2)
+    fork, forks = training._fork, []
+    monkeypatch.setattr(training, "_fork", lambda *args: forks.append(args) or fork(*args))
+    eval_logits(teacher, split([4 * floor + 400]))
+    assert forks == []
+    monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
     assert training._scoring_cpus() == training._MAX_PROCESSES == 2
 
