@@ -11,14 +11,20 @@ only; the teacher's input is data, so no gradient is formed for it.
 A forward that records no activations runs in near-equal row blocks of
 at most ``_BLOCK_ROWS`` rows (``row_blocks``), so its hidden matrices
 are block-high, not split-high: more than 512 rows run as blocks of 256
-to 512 rows. It never runs a full block plus a short tail. A teacher's
-scoring (``training.eval_logits``) runs the same blocks, one call each.
-On OpenBLAS, blocks of 128 rows or more gave the bits of 2048-row blocks
-on the three desk splits, for a trained and a random 20-128-128-10
-teacher; blocks of 96 rows or fewer differed by up to 1.2e-14
-(measured).
+to 512 rows. It never runs a full block plus a short tail. The blocks
+are dealt to one thread per scoring CPU (``_scoring_cpus``), the caller
+among them; a block's GEMMs and tanh release the interpreter lock, and
+its arithmetic does not depend on the thread, so neither do its bits. A
+teacher's scoring (``training.eval_logits``), export and logit-matching
+targets all run this forward. On OpenBLAS, blocks of 128 rows or more
+gave the bits of 2048-row blocks on the three desk splits, for a trained
+and a random 20-128-128-10 teacher; blocks of 96 rows or fewer differed
+by up to 1.2e-14 (measured).
 """
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,22 @@ from .errors import ShapeError
 from .numeric import require_finite
 
 _BLOCK_ROWS = 512  # the most rows a forward without ``hidden`` runs at once
+# The most CPUs one score uses: a teacher's threads here, an LSTM's forked
+# processes in ``training.eval_logits``. Measured on 2 CPUs only.
+_MAX_PROCESSES = 2  # 1 after score_serially
+
+
+def score_serially() -> None:
+    """Score on one CPU: ``train-student --parallel`` workers fill the CPUs."""
+    global _MAX_PROCESSES
+    _MAX_PROCESSES = 1
+
+
+def _scoring_cpus() -> int:
+    """Threads or processes a score may use: this process's CPUs
+    (``taskset``), at most ``_MAX_PROCESSES``; 1 with no affinity."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(_MAX_PROCESSES, cpus)
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -44,6 +66,12 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     on the sign: the result is exactly 0 or 1 far out in the tails and
     never NaN for finite input.
     """
+    return _logistic(x, out)
+
+
+def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The body of ``sigmoid``. Scoring threads call it, not ``sigmoid``:
+    ``perfbench/tracing.py`` wraps ``sigmoid`` in a tracer of one thread."""
     out = np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
@@ -136,37 +164,103 @@ def init_feedforward(
 
 
 def ff_forward(
-    params: FeedForwardParams, features: np.ndarray, hidden: list[np.ndarray] | None = None
-) -> np.ndarray:
+    params: FeedForwardParams,
+    features: np.ndarray,
+    hidden: list[np.ndarray] | None = None,
+    each=None,
+) -> np.ndarray | None:
     """Per-frame logits for a (frames x input_dim) feature matrix.
 
     When ``hidden`` is a list, the rows run as one block and each hidden
     layer's (frames x width) output is appended to it, input side first:
     the activations ``ff_backward`` needs. Otherwise they run in
-    near-equal blocks of 256 to 512 rows, or as one block of fewer rows
-    (see the module docstring). The features may be float32, as
-    a dataset holds them: each block is widened to float64 on its own,
-    so no float64 copy of the whole matrix is made. The arithmetic is
-    float64 either way, and the features are never written to.
+    near-equal blocks of 256 to 512 rows, or as one block of fewer rows,
+    on up to ``_scoring_cpus()`` threads (see the module docstring); with
+    ``each``, each block's logits go to ``each(rows, logits)`` in no set
+    order, on the thread that scored the block and under a lock of this
+    call, so no two calls overlap, and None is returned. Every thread is
+    joined before this returns or raises. The features may be float32,
+    as a dataset holds them: each block is widened to float64 on its
+    own, so no float64 copy of the whole matrix is made. The arithmetic
+    is float64 either way, and the features are never written to.
     """
     x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeError(
             f"features shape {x.shape} does not match input dim {params.input_dim}"
         )
-    n = x.shape[0]
-    logits = np.empty((n, params.output_dim))
-    for rows in [slice(0, n)] if hidden is not None else row_blocks(n):
-        h = x[rows].astype(np.float64, copy=False)
-        for w, b in zip(params.weights[:-1], params.biases[:-1]):
-            h = np.matmul(h, w.T)
-            h += b
-            sigmoid(h, out=h)
-            if hidden is not None:
-                hidden.append(h)
-        np.matmul(h, params.weights[-1].T, out=logits[rows])
-        logits[rows] += params.biases[-1]
-    return require_finite(logits, "feed-forward logits")
+    if hidden is not None:
+        return require_finite(_layers(params, x, sigmoid, hidden), "feed-forward logits")
+    logits = np.empty((x.shape[0], params.output_dim)) if each is None else None
+    lock = threading.Lock()
+
+    def score(rows):
+        z = _layers(params, x[rows], _logistic, out=None if logits is None else logits[rows])
+        require_finite(z, "feed-forward logits")
+        if each is not None:
+            with lock:
+                each(rows, z)
+
+    _in_threads(row_blocks(x.shape[0]), score, lock)
+    return logits
+
+
+def _layers(params: FeedForwardParams, x: np.ndarray, activation, hidden=None, out=None):
+    """The logits of the rows ``x`` as one block, into ``out`` when given;
+    each hidden layer's output is appended to ``hidden`` when given."""
+    h = x.astype(np.float64, copy=False)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.matmul(h, w.T)
+        h += b
+        activation(h, out=h)
+        if hidden is not None:
+            hidden.append(h)
+    out = np.matmul(h, params.weights[-1].T, out=out)
+    out += params.biases[-1]
+    return out
+
+
+def _in_threads(blocks: list[slice], score, lock: threading.Lock) -> None:
+    """``score(rows)`` for each of ``blocks``, dealt in order under
+    ``lock`` to ``min(_scoring_cpus(), len(blocks))`` threads, this one
+    among them. After an error no further block starts; every thread is
+    joined before this returns or raises, and this thread's own error,
+    or else another thread's first, is raised here."""
+    pending, errors = iter(blocks), []
+
+    def deal():
+        while True:
+            with lock:
+                rows = next(pending, None)
+            if rows is None:
+                return
+            score(rows)
+
+    def worker():
+        try:
+            deal()
+        except BaseException as exc:  # raised in the caller, below
+            with lock:
+                errors.append(exc)
+                deque(pending, maxlen=0)
+
+    threads = []
+    try:
+        for _ in range(min(_scoring_cpus(), len(blocks)) - 1):
+            thread = threading.Thread(target=worker)
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to spare: the others score its blocks
+                break
+            threads.append(thread)
+        deal()
+    finally:
+        with lock:
+            deque(pending, maxlen=0)  # after an error here, no further block starts
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def ff_backward(

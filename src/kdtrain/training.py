@@ -6,9 +6,10 @@ policy, and gradient-variance instrumentation.
 Everything is deterministic given (config, master seed): the master seed
 splits into per-purpose seeds through numpy SeedSequence, utterances are
 shuffled once per epoch by an epoch-indexed generator, and gradients are
-reduced in a fixed order. Scoring shares a large LSTM split between
-forked processes, at most one per CPU, and a teacher scores in the
-caller (``eval_logits``); the bits do not depend on the process count.
+reduced in a fixed order. A score uses up to ``_scoring_cpus()`` CPUs:
+a large LSTM split is shared between forked processes, and a teacher's
+row blocks between threads (``eval_logits``); the bits do not depend on
+the process or thread count.
 """
 
 import gc
@@ -31,7 +32,13 @@ from .errors import (
     NumericOverflowError,
     ShapeError,
 )
-from .feedforward import FeedForwardParams, ff_backward, ff_forward, row_blocks
+from .feedforward import (
+    FeedForwardParams,
+    _scoring_cpus,
+    ff_backward,
+    ff_forward,
+    score_serially,
+)
 from .formats import EpochStats, RunRecord
 from .lstm import LstmProjParams, lstm_backward_batch, lstm_forward_batch, zeros_state
 from .numeric import softmax_rows
@@ -56,9 +63,9 @@ _EVAL_BLOCK = 16
 # student, about 35 ms of scoring; only LSTM groups fork (a teacher's
 # blocks did not repay it). A fork costs about 10 ms: 4 ms to fork, exit
 # and reap, then a fault at the caller's first write to each page, in
-# this call and the next. Measured on 2 CPUs only.
+# this call and the next. Measured on 2 CPUs only. The process count is
+# capped by feedforward._MAX_PROCESSES, which a teacher's threads share.
 _MIN_SHARE = 8192
-_MAX_PROCESSES = 2  # 1 after score_serially
 # A child that sends no byte within 1 s + 4 x the caller's own scoring
 # time after the caller is done is taken as hung; its share is about as big.
 _HUNG = (1.0, 4.0)
@@ -205,19 +212,6 @@ def _is_lstm(params) -> bool:
     return isinstance(params, LstmProjParams)
 
 
-def score_serially() -> None:
-    """Score in one process: ``train-student --parallel`` workers fill the CPUs."""
-    global _MAX_PROCESSES
-    _MAX_PROCESSES = 1
-
-
-def _scoring_cpus() -> int:
-    """Processes a score may use: this process's CPUs (``taskset``), at
-    most ``_MAX_PROCESSES``; 1 with no affinity."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(_MAX_PROCESSES, cpus)
-
-
 def _shares(dataset: FrameDataset, processes: int) -> list[list]:
     """An LSTM's utterance groups of the split shared between at most
     ``processes``, and no more than the split's cost holds
@@ -304,24 +298,25 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
     made; without it, the split's logits are returned. A model whose
     input or output width is not the split's is AlignmentError.
 
-    A teacher scores its row blocks here, one ``ff_forward`` each. An
-    LSTM's groups are shared out: a forked child per further CPU
-    (``_scoring_cpus``) scores a share when the split costs enough
-    (``_shares``); one that sends no byte (a crash, a kill, non-finite
-    logits) or none in time (``_HUNG``) has it scored here, so an error
-    is the serial one. Every child is reaped before this returns or
-    raises. The bits do not depend on the process count."""
+    A teacher scores its row blocks in one ``ff_forward`` call, on a
+    thread per CPU (``_scoring_cpus``), this one among them; ``each``
+    runs on the thread that scored the block, under a lock of that call,
+    so no two calls overlap. An LSTM's pieces go to ``each`` on this
+    thread. Its groups are shared out: a forked child per further CPU
+    scores a share when the split costs enough (``_shares``); one that
+    sends no byte (a crash, a kill, non-finite logits) or none in time
+    (``_HUNG``) has it scored here, so an error is the serial one. Every
+    thread is joined and every child reaped before this returns or
+    raises. The bits do not depend on the thread or process count."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
     if (params.input_dim, params.output_dim) != (dataset.feature_dim, dataset.num_classes):
         raise AlignmentError(f"model of D={params.input_dim}, K={params.output_dim} does not "
                              f"fit a split of D={dataset.feature_dim}, K={dataset.num_classes}")
+    if not _is_lstm(params):
+        return ff_forward(params, dataset.features, each=each)
     out = np.empty((dataset.total_frames, params.output_dim)) if each is None else None
     each = each or out.__setitem__
-    if not _is_lstm(params):
-        for rows in row_blocks(dataset.total_frames):
-            each(rows, ff_forward(params, dataset.features[rows]))
-        return out
     *shares, mine = _shares(dataset, _scoring_cpus())
     children = []
     try:
@@ -352,7 +347,7 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
 def frame_accuracy(params, dataset: FrameDataset) -> float:
     """Percent of frames whose argmax logit (T = 1) matches the label,
     counted over the pieces ``eval_logits`` hands over, from whichever
-    process scored them."""
+    process or thread scored them."""
     correct = []
     eval_logits(params, dataset, lambda rows, logits: correct.append(
         int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels[rows]))))

@@ -7,6 +7,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -15,10 +17,10 @@ import pytest
 import yaml
 from test_training import traced_peak
 
-from kdtrain import cli, formats, training
+from kdtrain import cli, feedforward, formats, training
 from kdtrain.cli import main
 from kdtrain.distill import REGIMES, SoftTargetSet, export_soft_targets
-from kdtrain.feedforward import init_feedforward
+from kdtrain.feedforward import _BLOCK_ROWS, ff_forward, init_feedforward
 from kdtrain.formats import (
     read_checkpoint,
     read_dataset,
@@ -218,10 +220,30 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def teacher_threads() -> int:
+    """How many threads score a four-block teacher forward here; each
+    block's first layer takes 20 ms more, so that every thread the
+    forward starts gets a block."""
+    idents, logistic = set(), feedforward._logistic
+
+    def held(*args, **kwargs):
+        idents.add(threading.get_ident())
+        time.sleep(0.02)
+        return logistic(*args, **kwargs)
+
+    feedforward._logistic = held
+    try:
+        ff_forward(init_feedforward([2, 3, 2], np.random.default_rng(0)),
+                   np.zeros((4 * _BLOCK_ROWS, 2)))
+    finally:
+        feedforward._logistic = logistic
+    return len(idents)
+
+
 def test_parallel_workers_score_in_one_process(done, tmp_path, monkeypatch):
     """train-student --parallel gives its pool training.score_serially as
-    initializer, after which a worker scores in one process; the
-    command's own process keeps its CPUs."""
+    initializer, after which a worker scores in one process and a
+    teacher on one thread; the command's own process keeps its CPUs."""
     import concurrent.futures
 
     pool_class = concurrent.futures.ProcessPoolExecutor
@@ -239,7 +261,9 @@ def test_parallel_workers_score_in_one_process(done, tmp_path, monkeypatch):
     assert initializers == [training.score_serially]
     with pool_class(1, initializer=training.score_serially) as pool:
         assert pool.submit(training._scoring_cpus).result() == 1
+        assert pool.submit(teacher_threads).result() == 1
     assert training._scoring_cpus() == min(2, len(os.sched_getaffinity(0)))
+    assert teacher_threads() == training._scoring_cpus()
 
 
 # Runs the command line with every LSTM score shared between three processes.
@@ -279,12 +303,13 @@ def test_split_scores_print_each_line_once(tmp_path):
 
 def test_split_score_at_default_blas_threads_equals_the_serial_one(tmp_path):
     """With the BLAS thread count left at its default, a teacher scored
-    in the caller and an LSTM scored in three processes finish and give
-    the logits of a serial score at one BLAS thread."""
-    code = ("import sys, hashlib, numpy as np; from kdtrain import training; "
+    on three threads and an LSTM scored in three processes finish and
+    give the logits of a serial score at one BLAS thread."""
+    code = ("import sys, hashlib, numpy as np; from kdtrain import feedforward, training; "
             "from kdtrain.datasets import SynthTaskSpec, generate_synth; "
             "from kdtrain.feedforward import init_feedforward; from kdtrain.lstm import init_lstm; "
-            "training._scoring_cpus = lambda: int(sys.argv[1]); training._MIN_SHARE = 1; "
+            "training._scoring_cpus = feedforward._scoring_cpus = lambda: int(sys.argv[1]); "
+            "training._MIN_SHARE = 1; "
             "split = generate_synth(SynthTaskSpec(train_utterances=70), 5).train; "
             "rng = np.random.default_rng(6); "
             "models = [init_feedforward([20, 256, 256, 10], rng), "

@@ -1,14 +1,18 @@
 """Feed-forward teacher: forward against a hand-rolled triple-loop
 oracle and, bit for bit, against a chain of allocating expressions, in
-one block or in row blocks;
+one block or in row blocks, on one thread or several;
 backward against central finite differences and, bit for bit, against
 a chain of allocating expressions that recomputes the activations."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from kdtrain import feedforward
 from kdtrain.distill import batch_soft_loss, one_hot_rows
 from kdtrain.errors import ShapeError
 from kdtrain.feedforward import (
@@ -181,6 +185,70 @@ class TestForward:
         p = init_feedforward([4, 6, 3], np.random.default_rng(4))
         with pytest.raises(ShapeError):
             ff_forward(p, np.zeros((5, 5)))
+
+
+class TestScoringThreads:
+    """A forward without ``hidden`` deals its row blocks to
+    ``_scoring_cpus()`` threads, this one among them."""
+
+    @staticmethod
+    def case(blocks):
+        rng = np.random.default_rng(16)
+        p = init_feedforward([6, 8, 3], rng, scale=0.8)
+        return p, rng.normal(size=(blocks * _BLOCK_ROWS, 6))
+
+    def test_many_threads_hand_each_block_over_once(self, monkeypatch):
+        """Eight threads, more than there are CPUs, over 40 blocks, with
+        a thread switch every microsecond: ``each`` gets every block once
+        and never two at a time, so its counter, read and written back
+        around a yield, loses no update; and the logits keep the bits of
+        one thread."""
+        p, x = self.case(40)
+        monkeypatch.setattr(feedforward, "_scoring_cpus", lambda: 1)
+        want = ff_forward(p, x)
+        monkeypatch.setattr(feedforward, "_scoring_cpus", lambda: 8)
+        got = np.full_like(want, np.nan)
+        calls, inside, threads = [0], [0], set()
+
+        def each(rows, logits):
+            inside[0] += 1
+            n = calls[0]
+            time.sleep(0)
+            calls[0] = n + 1
+            assert inside[0] == 1
+            inside[0] -= 1
+            threads.add(threading.get_ident())
+            got[rows] = logits
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            assert ff_forward(p, x, each=each) is None
+            assert time.monotonic() - started < 30
+        finally:
+            sys.setswitchinterval(switch)
+        assert calls[0] == 40 and len(threads) > 1 and got.tobytes() == want.tobytes()
+
+    def test_a_thread_that_cannot_start_leaves_its_blocks_to_the_others(self, monkeypatch):
+        """When the second of two extra threads cannot start, the caller
+        and the first score every block, with the bits of one thread."""
+        p, x = self.case(5)
+        monkeypatch.setattr(feedforward, "_scoring_cpus", lambda: 1)
+        want = ff_forward(p, x)
+        starts, start = [], threading.Thread.start
+
+        def second_fails(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+        monkeypatch.setattr(feedforward, "_scoring_cpus", lambda: 3)
+        before = threading.active_count()
+        assert ff_forward(p, x).tobytes() == want.tobytes()
+        assert len(starts) == 2 and threading.active_count() == before
 
 
 class TestBackward:

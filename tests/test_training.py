@@ -7,15 +7,17 @@ bounds; and the gradient-variance report against a two-pass oracle."""
 
 import copy
 import dataclasses
+import importlib
 import os
 import signal
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kdtrain import training
+from kdtrain import distill, feedforward, training
 from kdtrain.datasets import FrameDataset, SynthTaskSpec, Utterance, generate_synth
 from kdtrain.distill import DistillLossSpec, SoftTargetSet, export_soft_targets, one_hot_rows
 from kdtrain.errors import AlignmentError, InvalidArgumentError, NumericOverflowError
@@ -342,16 +344,48 @@ _SLACK = 2**17  # bytes of small transients: states, one block's input and logit
 
 
 def score_in(monkeypatch, processes):
-    """Score in ``processes`` processes from here on, however little a
-    share costs."""
+    """Score on ``processes`` CPUs from here on: an LSTM in that many
+    processes, however little a share costs, and a teacher on that many
+    threads."""
     monkeypatch.setattr(training, "_scoring_cpus", lambda: processes)
+    monkeypatch.setattr(feedforward, "_scoring_cpus", lambda: processes)
     monkeypatch.setattr(training, "_MIN_SHARE", 1)
 
 
+_IN_THREADS = feedforward._in_threads
+
+
+def thread_counts(monkeypatch, threads):
+    """The list returned gathers, per teacher forward without ``hidden``,
+    how many threads scored its blocks. Each thread's first block waits
+    (10 s at most) until ``threads`` threads, or one per block if there
+    are fewer blocks, hold one; so fewer threads fail the forward."""
+    counts = []
+
+    def recording(blocks, score, lock):
+        barrier = threading.Barrier(min(threads, len(blocks)), timeout=10)
+        seen = set()
+
+        def first_waits(rows):
+            if threading.get_ident() not in seen:  # only this thread adds its own ident
+                seen.add(threading.get_ident())
+                barrier.wait()
+            score(rows)
+
+        try:
+            _IN_THREADS(blocks, first_waits, lock)
+        finally:
+            counts.append(len(seen))
+
+    monkeypatch.setattr(feedforward, "_in_threads", recording)
+    return counts
+
+
 def shared_buffers(monkeypatch, processes):
-    """Score in ``processes`` processes from here on; the list returned
-    gathers the bytes of each child's shared buffer, which tracemalloc
-    does not see, each checked to hold its share's logits and no more."""
+    """Score on ``processes`` CPUs from here on (``score_in``); the list
+    returned gathers the bytes of each child's shared buffer, which
+    tracemalloc does not see, each checked to hold its share's logits
+    and no more."""
     score_in(monkeypatch, processes)
     sizes = []
     fork = training._fork
@@ -389,8 +423,9 @@ def test_lstm_eval_memory_is_bounded_by_the_frame_block(monkeypatch):
 
 def test_teacher_eval_memory_is_bounded_by_the_row_block(monkeypatch):
     """A teacher eval over several row blocks holds two block-high
-    hidden matrices at a time, not two split-high ones, beside the
-    split's logits; it forks no child, so no shared buffer holds more."""
+    hidden matrices at a time per thread, not two split-high ones,
+    beside the split's logits; it forks no child, so no shared buffer
+    holds more."""
     rows, width = 5 * _BLOCK_ROWS + 77, 128
     rng = np.random.default_rng(36)
     split = FrameDataset(
@@ -398,16 +433,17 @@ def test_teacher_eval_memory_is_bounded_by_the_row_block(monkeypatch):
         np.zeros(rows, dtype=np.int64), 10,
     )
     teacher = init_feedforward([20, width, width, 10], rng, scale=0.3)
-    shared = shared_buffers(monkeypatch, 2)
-    out, peak = traced_peak(eval_logits, teacher, split)
-    assert peak <= out.nbytes + 2 * _BLOCK_ROWS * width * 8 + _SLACK
-    assert shared == []
+    for threads in (1, 2, 3):
+        shared, counts = shared_buffers(monkeypatch, threads), thread_counts(monkeypatch, threads)
+        out, peak = traced_peak(eval_logits, teacher, split)
+        assert peak <= out.nbytes + threads * (2 * _BLOCK_ROWS * width * 8 + _SLACK)
+        assert shared == [] and counts == [threads]
 
 
 def test_teacher_eval_makes_no_float64_copy_of_a_float32_split(monkeypatch):
     """The split holds float32 features; a teacher eval widens one row
-    block at a time, so it holds far less than the split in float64,
-    and it forks no child, so no shared buffer holds more."""
+    block at a time per thread, so it holds less than the split in
+    float64, and it forks no child, so no shared buffer holds more."""
     rows, d, width = 5 * _BLOCK_ROWS + 77, 64, 8
     rng = np.random.default_rng(37)
     split = FrameDataset(
@@ -416,11 +452,13 @@ def test_teacher_eval_makes_no_float64_copy_of_a_float32_split(monkeypatch):
     )
     assert split.features.dtype == np.float32
     teacher = init_feedforward([d, width, 10], rng, scale=0.3)
-    shared = shared_buffers(monkeypatch, 2)
-    out, peak = traced_peak(eval_logits, teacher, split)
-    bound = out.nbytes + _BLOCK_ROWS * (d + 2 * width) * 8 + _SLACK
-    assert peak <= bound < split.features.size * 8
-    assert shared == []
+    for threads in (1, 2, 3):
+        shared, counts = shared_buffers(monkeypatch, threads), thread_counts(monkeypatch, threads)
+        out, peak = traced_peak(eval_logits, teacher, split)
+        bound = out.nbytes + threads * (_BLOCK_ROWS * (d + 2 * width) * 8 + _SLACK)
+        assert peak <= bound and peak < split.features.size * 8
+        assert threads > 1 or bound < split.features.size * 8
+        assert shared == [] and counts == [threads]
 
 
 def reference_accuracy(params, dataset):
@@ -494,11 +532,11 @@ def test_frame_accuracy_scores_inside_one_eval_logits_call(ragged_split, monkeyp
 
 def test_frame_accuracy_holds_less_than_the_split_logits(monkeypatch):
     """A teacher's score holds one row block's input, hidden matrix
-    and logits at a time; an LSTM's one group's padded input and
-    logits, and one frame block's logits twice (the forward's and their
-    stream-major copy). The teacher forks no child; beside the LSTM's
-    score, the child's shared buffer holds its share's logits; and
-    neither score holds the split's."""
+    and logits at a time per thread; an LSTM's one group's padded input
+    and logits, and one frame block's logits twice (the forward's and
+    their stream-major copy). The teacher forks no child; beside the
+    LSTM's score, the child's shared buffer holds its share's logits;
+    and neither score holds the split's."""
     rng = np.random.default_rng(40)
     d, k, frames, count = 5, 40, 30, 8 * training._EVAL_GROUP
     split = FrameDataset(
@@ -506,11 +544,13 @@ def test_frame_accuracy_holds_less_than_the_split_logits(monkeypatch):
         rng.normal(size=(count * frames, d)), rng.integers(0, k, size=count * frames), k,
     )
     logits = split.total_frames * k * 8
-    shared = shared_buffers(monkeypatch, 2)
     teacher = init_feedforward([d, 16, k], rng, scale=0.5)
-    _, peak = traced_peak(frame_accuracy, teacher, split)
-    assert peak <= _BLOCK_ROWS * (d + 16 + 2 * k) * 8 + _SLACK < logits
-    assert shared == []
+    for threads in (1, 2, 3):
+        shared, counts = shared_buffers(monkeypatch, threads), thread_counts(monkeypatch, threads)
+        _, peak = traced_peak(frame_accuracy, teacher, split)
+        assert peak <= threads * (_BLOCK_ROWS * (d + 16 + 2 * k) * 8 + _SLACK) < logits
+        assert shared == [] and counts == [threads]
+    shared = shared_buffers(monkeypatch, 2)
     student = init_lstm(d, k, layers=1, cells=16, projection=8, rng=rng, scale=0.5)
     _, peak = traced_peak(frame_accuracy, student, split)
     group = training._EVAL_GROUP * (frames * (d + k) + 2 * training._EVAL_BLOCK * k) * 8
@@ -561,15 +601,18 @@ def assert_scores_have_the_bits(params, split, want):
 
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeypatch, processes):
-    """Scored in 1, 2 or 3 processes, a teacher and an LSTM give the bits
-    of the serial score and of the references; a teacher forks no child,
-    an LSTM's child scores a share whenever there is more than one
-    process and more than one group, the caller takes the children's
-    logits without scoring their shares again, and no child is left once
-    a score returns."""
+    """Scored on 1, 2 or 3 CPUs, a teacher and an LSTM give the bits of
+    the serial score and of the references. A teacher forks no child:
+    its blocks run on that many threads, or one per block if there are
+    fewer, and so do its exported targets, with the serial rows. An
+    LSTM's child scores a share whenever there is more than one process
+    and more than one group, the caller takes the children's logits
+    without scoring their shares again, and no child is left once a
+    score returns."""
     cases = split_cases(ragged_split)
     score_in(monkeypatch, 1)
     serial = [eval_logits(params, split) for params, split, _ in cases]
+    exported = {}
     for (params, split, pieces), want in zip(cases, serial):
         if training._is_lstm(params):
             assert len(training._shares(split, 99)) == pieces
@@ -577,8 +620,10 @@ def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeyp
         else:
             assert len(row_blocks(split.total_frames)) == pieces
             reference = ff_forward(params, split.features)
+            exported[pieces] = [s.rows for s in export_soft_targets(params, split, [1.0, 2.0])]
         assert want.tobytes() == reference.tobytes()
     shared = shared_buffers(monkeypatch, processes)
+    counts = thread_counts(monkeypatch, processes)
     caller, score, here = os.getpid(), training._score, []
 
     def counting(*args):
@@ -587,13 +632,17 @@ def test_scores_keep_their_bits_in_any_number_of_processes(ragged_split, monkeyp
 
     monkeypatch.setattr(training, "_score", counting)
     for (params, split, pieces), want in zip(cases, serial):
-        del shared[:], here[:]
+        del shared[:], here[:], counts[:]
         assert_scores_have_the_bits(params, split, want)
         if training._is_lstm(params):
             assert len(shared) == 2 * (min(processes, pieces) - 1)
             assert len(here) == 2  # the caller's own share in each mode, no child's
+            assert counts == []
         else:
             assert shared == [] and here == []
+            assert_same_bits([s.rows for s in export_soft_targets(params, split, [1.0, 2.0])],
+                             exported[pieces])
+            assert counts == [min(processes, pieces)] * 3
         assert_no_child_left()
 
 
@@ -660,6 +709,77 @@ def test_non_finite_logits_in_a_childs_share_raise_the_serial_error(ragged_split
         assert len(shared) == (processes - 1 if lstm else 0)
         assert_no_child_left()
     assert errors[0] == errors[1] and "non-finite" in errors[0]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_no_scoring_thread_outlives_a_teacher_error(ragged_split, monkeypatch, threads):
+    """Non-finite logits in every block, each block on one of the
+    threads, raise NumericOverflowError here, and an error in ``each``,
+    also on other threads only, is raised here; no thread is left and
+    none reported an unhandled error;
+    and an LSTM score after them still forks its children and reaps
+    them."""
+    params, split, _ = split_cases(ragged_split)[2]
+    features = split.features.copy()
+    features[[rows.start for rows in row_blocks(split.total_frames)]] = np.nan
+    bad = FrameDataset(split.utterances, features, split.labels, split.num_classes)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    shared = shared_buffers(monkeypatch, threads)
+    counts = thread_counts(monkeypatch, threads)
+    before = threading.active_count()
+
+    def failing(rows, logits):
+        raise ValueError("stop")
+
+    def failing_elsewhere(rows, logits):
+        if threading.get_ident() != caller:
+            raise ValueError("stop")
+
+    caller = threading.get_ident()
+    for call, error in [((params, bad), NumericOverflowError),
+                        ((params, bad, failing), NumericOverflowError),
+                        ((params, split, failing), ValueError),
+                        ((params, split, failing_elsewhere), ValueError)]:
+        with pytest.raises(error):
+            eval_logits(*call)
+        assert threading.active_count() == before
+    assert counts == [threads] * 4 and unhandled == [] and shared == []
+    student, lstm_split, _ = split_cases(ragged_split)[5]
+    assert eval_logits(student, lstm_split).shape == (lstm_split.total_frames, 10)
+    assert len(shared) == threads - 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_every_traced_binding_runs_on_the_scoring_caller(ragged_split, monkeypatch, threads):
+    """The benchmark's tracer keeps one span stack, so each binding it
+    wraps (``PROBES`` of ``perfbench/tracing.py``) must be called on the
+    thread that scores, never on a teacher's other threads: through
+    eval_logits, frame_accuracy, export_soft_targets and the
+    logit-matching targets of run_training, on 2 and 3 threads."""
+    from test_probes import PROBES
+
+    callers = []
+    for probe in PROBES:
+        def recording(*args, _fn=getattr(importlib.import_module(probe.module), probe.attr),
+                      **kwargs):
+            callers.append(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module(probe.module), probe.attr, recording)
+    teacher, split, blocks = split_cases(ragged_split)[2]
+    student = split_cases(ragged_split)[3][0]
+    score_in(monkeypatch, threads)
+    counts = thread_counts(monkeypatch, threads)
+    training.eval_logits(teacher, split)
+    training.frame_accuracy(teacher, split)
+    list(distill.export_soft_targets(teacher, split, [1.0, 2.0]))
+    schedule = TrainingSchedule(max_epochs=1, streams=8, window=20)
+    run_training(DistillLossSpec("logitmatch", 0.5, 1.0), student, ragged_split,
+                 split_prefix(ragged_split, 200), schedule, teacher=teacher)
+    assert counts == [min(threads, blocks)] * 3 + [threads]
+    assert len(callers) > 10 and set(callers) == {threading.get_ident()}
 
 
 def test_an_error_here_kills_and_reaps_every_child(ragged_split, monkeypatch):
@@ -744,7 +864,7 @@ def test_no_share_costs_less_than_its_fork(monkeypatch):
     assert forks == []
     monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
-    assert training._scoring_cpus() == training._MAX_PROCESSES == 2
+    assert training._scoring_cpus() == feedforward._MAX_PROCESSES == 2
 
 
 def widened(split):
