@@ -41,6 +41,7 @@ from .formats import (
     write_soft_targets,
 )
 from .lstm import init_lstm
+from .numeric import require_positive
 from .training import (
     TrainingAborted,
     derive_rng,
@@ -364,6 +365,7 @@ def _dispatch(args) -> None:
         raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     temps = cfg.temperatures
     if getattr(args, "temperature", None) is not None:
+        require_positive(args.temperature, "--temperature")
         name = temperature_name(args.temperature)
         clash = [t for t in temps if temperature_name(t) == name and t != args.temperature]
         if clash:  # the two would read and write one another's files

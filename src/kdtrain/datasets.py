@@ -18,9 +18,11 @@ platform. Features are held as the 32-bit float values that the DKDS
 format stores, so file round trips are bit-exact and a split takes half
 the memory of float64. Every computation on them is float64: each
 consumer widens only the rows it uses into a buffer it owns. The
-generator itself computes in float64 one chunk of whole utterances at a
-time (``_CHUNK_FRAMES``): it adds the means into the chunk's noise in
-place and casts the chunk into the float32 split.
+generator draws each utterance's length, first label, label chain and
+white noise, in that order, and computes in float64 one chunk of whole
+utterances at a time (``_CHUNK_FRAMES``), finished before the noise of
+an utterance that would not fit and after the last: it adds the means
+into the chunk's noise in place and casts it into the float32 split.
 """
 
 from bisect import bisect_right
@@ -208,18 +210,20 @@ _ADD_ROWS = 1024
 def _finish_chunk(
     spec: SynthTaskSpec,
     eps: np.ndarray,
-    lengths: np.ndarray,
-    labels: np.ndarray,
+    chains: list[np.ndarray],
     centroids: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """The float64 features of whole consecutive utterances of
-    ``lengths`` frames, formed in place in their white noise ``eps``
-    from their ``labels``; both lie on the utterances' flat frame axis.
+    """The float64 features of whole consecutive utterances with label
+    ``chains``, formed in place in the front of ``eps``, which holds
+    their white noise on the utterances' flat frame axis.
 
     Every step is utterance-local, so finishing a split in chunks gives
     the bits of finishing it whole.
     """
+    lengths = np.array([chain.size for chain in chains])
+    labels = np.concatenate(chains)
+    eps = eps[: labels.size]
     starts = np.cumsum(lengths) - lengths
     if spec.noise_corr > 0.0:
         # AR(1) walk with unit marginal variance, reset per utterance:
@@ -239,41 +243,6 @@ def _finish_chunk(
     return eps
 
 
-def _draw_chunks(spec: SynthTaskSpec, count: int, transitions: np.ndarray, eps: np.ndarray,
-                 rng: np.random.Generator):
-    """Draw ``count`` utterances in the generator's order, each its
-    length, then its label chain, then its white noise into ``eps`` on
-    the flat frame axis. Yield (lengths, labels) for each chunk of whole
-    utterances whose noise fills the front of ``eps``, before drawing
-    the noise of an utterance that would not fit; the caller finishes
-    the chunk's noise before it asks for the next."""
-    # rng.choice(k, p=row) draws one rng.random() and bisects the row's
-    # normalised cumulative sum to the right; drawing an utterance's
-    # chain with one rng.random(length - 1) call does the same with the
-    # same draws in the same order
-    cdfs = []
-    for row in transitions:
-        cdf = row.cumsum()
-        cdf /= cdf[-1]
-        cdfs.append(cdf.tolist())
-    lengths, chunk, fill = [], [], 0
-    for _ in range(count):
-        length = int(rng.integers(spec.min_frames, spec.max_frames + 1))
-        if fill + length > eps.shape[0]:
-            yield lengths, np.concatenate(chunk)
-            lengths, chunk, fill = [], [], 0
-        label = int(rng.integers(0, spec.num_classes))
-        labels = [label]
-        for u in rng.random(length - 1).tolist():
-            label = bisect_right(cdfs[label], u)
-            labels.append(label)
-        chunk.append(np.array(labels, dtype=np.int64))
-        rng.standard_normal(out=eps[fill : fill + length])
-        lengths.append(length)
-        fill += length
-    yield lengths, np.concatenate(chunk)
-
-
 def _generate_split(
     spec: SynthTaskSpec,
     count: int,
@@ -283,28 +252,42 @@ def _generate_split(
     noise: np.ndarray,
     rng: np.random.Generator,
 ) -> FrameDataset:
+    """Draw ``count`` utterances, each its length, first label, label
+    chain and white noise in that order, into one float32 split. The
+    noise fills a float64 chunk buffer; before drawing the noise of an
+    utterance that would not fit, and after the last utterance, the
+    chunk's whole utterances are finished and cast into the split."""
+    # rng.choice(k, p=row) draws one rng.random() and bisects the row's
+    # normalised cumulative sum to the right; drawing an utterance's
+    # chain with one rng.random(length - 1) call does the same with the
+    # same draws in the same order
+    cdfs = [(cdf / cdf[-1]).tolist() for cdf in transitions.cumsum(axis=1)]
     # the float32 features of all utterances on the flat frame axis;
     # pages past the last frame written are never touched
     features = np.empty((count * spec.max_frames, spec.feature_dim), dtype=np.float32)
-    # one chunk's float64 noise; each chunk is finished and cast into
-    # ``features`` before the next one is drawn over it
     eps = np.empty((max(_CHUNK_FRAMES, spec.max_frames), spec.feature_dim))
-    utterances = []
-    label_chunks = []
-    done = 0
+    utterances, chains = [], []
+    lo = done = first = 0  # the open chunk: frames [lo, done), chains[first:]
     with np.errstate(over="ignore"):  # refused below, so numpy need not warn
-        for lengths, labels in _draw_chunks(spec, count, transitions, eps, rng):
-            for length in lengths:
-                utterances.append(Utterance(first_uid + len(utterances), done, length))
-                done += length
-            rows = slice(done - labels.size, done)
-            features[rows] = _finish_chunk(spec, eps[: labels.size], np.array(lengths), labels,
-                                           centroids, noise)
-            label_chunks.append(labels)
+        for uid in range(first_uid, first_uid + count):
+            length = int(rng.integers(spec.min_frames, spec.max_frames + 1))
+            label = int(rng.integers(0, spec.num_classes))
+            chain = [label]
+            for u in rng.random(length - 1).tolist():
+                label = bisect_right(cdfs[label], u)
+                chain.append(label)
+            if done + length - lo > eps.shape[0]:
+                features[lo:done] = _finish_chunk(spec, eps, chains[first:], centroids, noise)
+                lo, first = done, len(chains)
+            rng.standard_normal(out=eps[done - lo : done - lo + length])
+            chains.append(np.array(chain, dtype=np.int64))
+            utterances.append(Utterance(uid, done, length))
+            done += length
+        features[lo:done] = _finish_chunk(spec, eps, chains[first:], centroids, noise)
     features = features[:done]
     if not np.isfinite([features.min(), features.max()]).all():
         raise InvalidArgumentError(f"noise_scale {spec.noise_scale} overflows float32")
-    return FrameDataset(utterances, features, np.concatenate(label_chunks), spec.num_classes)
+    return FrameDataset(utterances, features, np.concatenate(chains), spec.num_classes)
 
 
 def generate_synth(spec: SynthTaskSpec, seed: int) -> SplitSet:

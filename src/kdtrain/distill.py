@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError
 from .feedforward import FeedForwardParams, ff_forward, row_blocks
-from .numeric import PROB_CLAMP_MIN, softmax_rows
+from .numeric import PROB_CLAMP_MIN, require_positive, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class DistillLossSpec:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidArgumentError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.temperature > 0:
-            raise InvalidArgumentError(f"temperature must be positive, got {self.temperature}")
+        require_positive(self.temperature, "temperature")
 
 
 @dataclass
@@ -88,8 +87,7 @@ class SoftTargetSet:
         self.rows = np.asarray(self.rows, dtype=np.float32)
         if self.rows.ndim != 2 or self.rows.shape[1] < 2:
             raise ShapeError(f"rows must be (frames x K), K >= 2; got {self.rows.shape}")
-        if not self.temperature > 0:
-            raise InvalidArgumentError(f"temperature must be positive, got {self.temperature}")
+        require_positive(self.temperature, "temperature")
         if len(self.teacher_digest) != 32:
             raise InvalidArgumentError("teacher digest must be 32 bytes")
 

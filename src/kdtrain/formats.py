@@ -26,7 +26,8 @@ partial file under the target's name. Readers read each payload with
 no payload twice; only DKDS labels are converted (u16 to int64). DKDS
 features and DKST rows stay float32, as stored, so a dataset or a
 soft-target set is written and read without a conversion copy; a
-non-finite feature is refused at read.
+non-finite feature, or a DKST temperature that is not finite and > 0,
+is refused at read.
 """
 
 import hashlib
@@ -41,9 +42,10 @@ import numpy as np
 
 from .datasets import FrameDataset, Utterance
 from .distill import REGIMES, SoftTargetSet
-from .errors import FormatError, ShapeError
+from .errors import FormatError, InvalidArgumentError, ShapeError
 from .feedforward import FeedForwardParams
 from .lstm import LstmProjParams
+from .numeric import require_positive
 
 DATASET_MAGIC = b"DKDS1"
 SOFT_MAGIC = b"DKST1"
@@ -203,8 +205,13 @@ def read_soft_targets(path) -> SoftTargetSet:
         r = _Reader(f, f"soft targets {path}")
         _check_header(r, SOFT_MAGIC)
         temperature, frames, k = r.unpack("dQI")
-        if not temperature > 0 or k < 2:
-            raise FormatError(f"{r.what}: bad header T={temperature}, K={k}", offset=6)
+        bad = FormatError(f"{r.what}: bad header T={temperature}, K={k}", offset=6)
+        if k < 2:
+            raise bad
+        try:
+            require_positive(temperature, "T")
+        except InvalidArgumentError:
+            raise bad from None
         digest = r.take(32)
         rows = r.array("<f4", (frames, k), np.float32)
         r.expect_end()

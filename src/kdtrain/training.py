@@ -41,7 +41,7 @@ from .feedforward import (
 )
 from .formats import EpochStats, RunRecord
 from .lstm import LstmProjParams, lstm_backward_batch, lstm_forward_batch, zeros_state
-from .numeric import softmax_rows
+from .numeric import require_positive, softmax_rows
 
 # Fixed purpose codes for splitting one master seed into independent
 # streams; documented so runs are reproducible from the master seed alone.
@@ -472,8 +472,7 @@ class TrainingSchedule:
     pretrain_switch_epoch: int | None = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise InvalidArgumentError(f"learning rate must be positive, got {self.learning_rate}")
+        require_positive(self.learning_rate, "learning rate")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
         if not self.clip_norm > 0:

@@ -411,6 +411,31 @@ def test_flag_temperature_named_like_a_configured_one_exits_2(done, tmp_path, ca
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", [["export-soft"], ["train-student", "--regime", "reg"]])
+def test_non_finite_flag_temperature_exits_2_before_anything_runs(done, tmp_path, capsys,
+                                                                  monkeypatch, command, value):
+    """Refused before ``--out`` is prepared, so before any file is
+    written or any forward runs."""
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    fresh = tmp_path / "fresh"
+
+    def prepared(*args):
+        raise AssertionError("--out prepared for a bad --temperature")
+
+    monkeypatch.setattr(cli, "_prepare_out", prepared)
+    capsys.readouterr()
+    for where in (copy, fresh):
+        assert run(config, where, *command, f"--temperature={value}") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --temperature must be positive and finite, got {float(value)}"
+        ]
+    assert sorted(p.name for p in copy.iterdir()) == sorted(p.name for p in out.iterdir())
+    assert digests(copy) == digests(out)
+    assert not fresh.exists()
+
+
 def test_flag_temperature_with_a_name_of_its_own_is_used(done, tmp_path):
     config, out = done
     copy = shutil.copytree(out, tmp_path / "copy")
@@ -529,6 +554,22 @@ def test_soft_targets_at_wrong_temperature_exit_3(done, tmp_path):
     shutil.copy(copy / "soft_T2_s3.dkst", copy / "soft_T1_s3.dkst")
     assert run(config, copy, "train-student", "--regime", "soft", "--temperature", "1") == 3
     assert not (copy / "student_soft_T1_s3.runrec").exists()
+
+
+def test_soft_targets_with_an_infinite_header_temperature_exit_3(done, tmp_path, capsys):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy")
+    for stale in copy.glob("student_soft_T2_s3.*"):
+        stale.unlink()
+    path = copy / "soft_T2_s3.dkst"
+    raw = bytearray(path.read_bytes())
+    raw[6:14] = struct.pack("<d", float("inf"))
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(config, copy, "train-student", "--regime", "soft") == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "bad header T=inf" in lines[0]
+    assert not list(copy.glob("student_soft_T2_s3.*"))
 
 
 def test_numeric_abort_exits_1_and_keeps_last_good_epoch(tmp_path):

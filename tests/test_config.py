@@ -183,3 +183,31 @@ def test_loose_but_valid_values_load_with_unchanged_digests(tmp_path, text, type
     config.write_text(text)
     cfg = load_config(str(config))
     assert typed(cfg) and cfg.digest() == digest
+
+
+@pytest.mark.parametrize("text, match", [
+    ("experiment: {temperatures: [.inf]}",
+     "experiment: temperature must be positive and finite, got inf"),
+    ("experiment: {temperatures: [1, .inf]}",
+     "experiment: temperature must be positive and finite, got inf"),
+    ("train: {learning_rate: .inf}",
+     "train schedule: learning rate must be positive and finite, got inf"),
+    ("teacher: {learning_rate: .inf}",
+     "teacher schedule: learning rate must be positive and finite, got inf"),
+])
+def test_infinite_temperature_or_learning_rate_exits_2_at_load(tmp_path, capsys, text, match):
+    """An infinite temperature would export uniform rows under the name
+    Tinf and abort its student in epoch 1; an infinite rate aborts the
+    first update."""
+    assert_refused_at_load(tmp_path, capsys, text, match)
+
+
+def test_never_clip_and_never_stop_improving_stay_valid(tmp_path):
+    """clip_norm .inf never clips and improve_threshold -.inf never
+    halves (the benchmark's setting): both load, in both schedules."""
+    config = tmp_path / "ok.yaml"
+    config.write_text("train: {clip_norm: .inf, improve_threshold: -.inf}\n")
+    cfg = load_config(str(config))
+    for schedule in (cfg.schedule, cfg.teacher_schedule):
+        assert schedule.clip_norm == float("inf")
+        assert schedule.improve_threshold == float("-inf")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from test_training import traced_peak
 
+from kdtrain import datasets
 from kdtrain.datasets import (
     _ADD_ROWS,
     _CHUNK_FRAMES,
@@ -151,6 +152,46 @@ class TestGenerateSynth:
         train = generate_synth(SynthTaskSpec(**kwargs), 11).train
         assert train.total_frames > 2 * _CHUNK_FRAMES
         assert sum(u.count == 1 for u in train.utterances) > 100
+
+    # (spec, chunk frames, the frames of each chunk when they are known):
+    # a chunk of one utterance at most; one that three 12-frame
+    # utterances fill exactly, so train's 12 fill four chunks and cv's
+    # and test's 4 fill one and start another; and one past any split
+    CHUNKINGS = {
+        "max_frames": (small_spec(min_frames=1, max_frames=25, blend_frames=3), 25, None),
+        "exact fill": (small_spec(min_frames=12, max_frames=12), 36, [36] * 4 + [36, 12] * 2),
+        "past a split": (small_spec(), 12 * 20 + 1, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHUNKINGS))
+    def test_chunk_size_changes_no_byte(self, monkeypatch, name):
+        """The splits are the same bytes whatever ``_CHUNK_FRAMES`` is:
+        a chunk is finished before the noise of an utterance that would
+        not fit, and after a split's last utterance, so every chunk is
+        whole utterances and no more frames than the buffer holds."""
+        spec, chunk, frames = self.CHUNKINGS[name]
+        want = generate_synth(spec, 17)
+        sizes, finish = [], datasets._finish_chunk
+
+        def recording(spec, eps, chains, *args):
+            sizes.append((sum(chain.size for chain in chains), len(chains)))
+            return finish(spec, eps, chains, *args)
+
+        monkeypatch.setattr(datasets, "_CHUNK_FRAMES", chunk)
+        monkeypatch.setattr(datasets, "_finish_chunk", recording)
+        got = generate_synth(spec, 17)
+        for a, b in zip(want, got, strict=True):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+            assert a.utterances == b.utterances
+        assert sum(n for _, n in sizes) == sum(len(ds.utterances) for ds in want)
+        assert max(n for n, _ in sizes) <= max(chunk, spec.max_frames)
+        if frames is not None:
+            assert [n for n, _ in sizes] == frames
+        if chunk > spec.train_utterances * spec.max_frames:
+            assert len(sizes) == 3
+        else:
+            assert len(sizes) > 3
 
     def test_deterministic_given_seed(self):
         a = generate_synth(small_spec(), 123)

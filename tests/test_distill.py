@@ -89,6 +89,16 @@ class TestDistillLossSpec:
         assert [m for m in modes if REGIMES[m].teacher_logits] == ["logitmatch"]
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan"), 0.0])
+def test_every_temperature_is_finite_and_positive(t):
+    """The spec, a soft set and the softmax refuse one set of values."""
+    rows = np.full((3, 2), 0.5)
+    for build in (lambda: DistillLossSpec("soft", temperature=t),
+                  lambda: SoftTargetSet(t, rows), lambda: softmax_rows(rows, t)):
+        with pytest.raises(InvalidArgumentError, match="temperature must be positive and finite"):
+            build()
+
+
 class TestSoftenLogits:
     """Teacher softening is the row-wise softmax at the export temperature."""
 

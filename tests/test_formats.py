@@ -234,6 +234,16 @@ class TestSoftTargetFormat:
             read_soft_targets(p)
         assert exc.value.offset == 6
 
+    def test_infinite_header_temperature_rejected(self, dataset, tmp_path):
+        soft = SoftTargetSet(1.0, np.full((dataset.total_frames, 5), 0.2))
+        raw = bytearray(written(write_soft_targets, soft, tmp_path / "ok.dkst"))
+        raw[6:14] = struct.pack("<d", float("inf"))
+        p = tmp_path / "h.dkst"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="bad header T=inf, K=5") as exc:
+            read_soft_targets(p)
+        assert exc.value.offset == 6
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.dkst"
         p.write_bytes(b"NOPE!" + bytes(60))

@@ -1043,6 +1043,12 @@ def test_clip_norm_must_be_positive(clip_norm):
         TrainingSchedule(clip_norm=clip_norm)
 
 
+@pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+def test_learning_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(InvalidArgumentError, match="learning rate must be positive and finite"):
+        TrainingSchedule(learning_rate=rate)
+
+
 def misfit_soft_sets(train_set, teacher):
     """Soft-target sets that do not fit ``train_set``, each with the
     start of the violation validate_soft_targets reports for it."""
