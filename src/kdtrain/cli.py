@@ -168,19 +168,17 @@ def cmd_export_soft(cfg: ExperimentConfig, out: Path, seeds, temperatures,
     for seed in seeds:
         path = Path(teacher_path) if teacher_path else out / f"{_teacher_stem(seed)}.dkdm"
         teacher = _read_teacher(path, "; run train-teacher first")
-        # one set at a time: each is written and dropped before it is read
-        # back and before the next one is made
+        # checked in memory: a set holds the float32 rows its file stores
         for soft in export_soft_targets(teacher, train, temperatures):
-            t, frames = soft.temperature, soft.frame_count
-            target = out / _soft_name(t, seed)
-            write_soft_targets(target, soft)
-            del soft
-            violations = validate_soft_targets(read_soft_targets(target), train)
+            target = out / _soft_name(soft.temperature, seed)
+            violations = validate_soft_targets(soft, train)
             if violations:
-                raise FormatError(
-                    f"exported soft targets {target} failed self-validation: {violations[0]}"
-                )
-            print(f"wrote {target.name} (T={temperature_name(t)}, {frames} frames)")
+                raise FormatError(f"exported soft targets {target} failed self-validation: "
+                                  f"{violations[0]}")
+            write_soft_targets(target, soft)
+            print(f"wrote {target.name} (T={temperature_name(soft.temperature)}, "
+                  f"{soft.frame_count} frames)")
+            del soft  # before the next set is made
 
 
 def _read_soft(out: Path, t: float, seed: int):

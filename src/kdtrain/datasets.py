@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeError
+from .errors import AlignmentError, InvalidArgumentError, ShapeError
 
 
 @dataclass
@@ -85,6 +85,12 @@ class FrameDataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    def require_fit(self, model) -> None:
+        """The one fit rule: AlignmentError unless ``model`` has this D and K."""
+        if (model.input_dim, model.output_dim) != (self.feature_dim, self.num_classes):
+            raise AlignmentError(f"model of D={model.input_dim}, K={model.output_dim} does not "
+                                 f"fit a split of D={self.feature_dim}, K={self.num_classes}")
 
 
 class SplitSet(NamedTuple):

@@ -107,12 +107,13 @@ def export_soft_targets(
     order) and yield its temperature-softened posteriors, one set per
     entry of ``temperatures``, in that order.
 
-    The teacher runs when the first set is requested, and each set is
-    made only when it is requested, and not held here once yielded; so
-    a caller that drops each set holds the logits and one set at a time.
+    The teacher is checked (``FrameDataset.require_fit``) and run at the
+    first request; each set is made only when requested and not held once
+    yielded, so a caller that drops each set holds the logits and one set.
     """
     from .formats import checkpoint_digest  # local import; formats imports this module
 
+    dataset.require_fit(teacher)
     logits = ff_forward(teacher, dataset.features)
     digest = checkpoint_digest(teacher)
     for t in temperatures:

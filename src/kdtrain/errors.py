@@ -27,11 +27,11 @@ class InvalidStateError(KdtrainError):
 
 class AlignmentError(KdtrainError):
     """Soft targets or a model do not fit the split or regime they are
-    paired with: another frame count, D or K, an entry outside [0, 1], a
-    row that does not sum to 1 within 1e-6, or another temperature than
-    the regime's. (The "targets" matrix a regime trains on is these soft
-    rows for "soft", "reg" and "pretrain", and the teacher's logits,
-    which are not checked this way, for "logitmatch".)"""
+    paired with. A model, a "logitmatch" teacher too, fits a split of its
+    D and K: the one rule, ``FrameDataset.require_fit``, checked before any
+    forward. Soft targets fit a split of their frame count and K, with
+    entries in [0, 1] and rows that sum to 1 within 1e-6, and a regime of
+    their temperature."""
 
 
 class FormatError(KdtrainError):

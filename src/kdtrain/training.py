@@ -251,25 +251,19 @@ def _score(params, dataset: FrameDataset, share, each) -> None:
             each(slice(u.offset, u.offset + u.count), logits[s, : u.count])
 
 
-def _layout(share) -> np.ndarray:
-    """(first row, row past the last, row past the last in a child's
-    buffer) per utterance of ``share``'s groups, in row order: the
-    buffer holds their logits end to end."""
-    spans = np.array(sorted((u.offset, u.offset + u.count) for group in share for u in group))
-    return np.column_stack([spans, np.cumsum(spans[:, 1] - spans[:, 0])])
-
-
 def _fork(params, dataset: FrameDataset, share):
-    """(pid, the read end of its pipe, ``_layout``, logits) of a child that
-    scores ``share`` into a shared buffer sized to it, sends one byte and
-    leaves by ``os._exit``, which flushes none of this process's buffers."""
-    layout = _layout(share)
-    logits = np.frombuffer(mmap.mmap(-1, int(layout[-1, 2]) * params.output_dim * 8))
+    """(pid, its pipe's read end, logits) of a child that scores ``share``
+    into a shared buffer, end to end in ``_score``'s order, sends one byte
+    and leaves by ``os._exit``, which flushes none of this process's buffers."""
+    frames = sum(u.count for group in share for u in group)
+    logits = np.frombuffer(mmap.mmap(-1, frames * params.output_dim * 8))
     logits = logits.reshape(-1, params.output_dim)
+    end = 0
 
     def place(rows, z):
-        end = layout[np.searchsorted(layout[:, 0], rows.start), 2]
-        logits[end - len(z) : end] = z
+        nonlocal end
+        logits[end : end + len(z)] = z
+        end += len(z)
 
     read, write = os.pipe()
     try:
@@ -286,7 +280,7 @@ def _fork(params, dataset: FrameDataset, share):
         raise
     finally:
         os.close(write)
-    return pid, read, layout, logits
+    return pid, read, logits
 
 
 def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
@@ -295,8 +289,8 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
     ``_EVAL_BLOCK``-frame blocks (see ``_EVAL_GROUP``). With ``each``,
     each piece goes to ``each(rows, logits)`` in no set order (an LSTM's
     utterances, a teacher's ``row_blocks``) and no split-sized array is
-    made; without it, the split's logits are returned. A model whose
-    input or output width is not the split's is AlignmentError.
+    made; without it, the split's logits are returned. A model that does
+    not fit the split (``FrameDataset.require_fit``) is AlignmentError.
 
     A teacher scores its row blocks in one ``ff_forward`` call, on a
     thread per CPU (``_scoring_cpus``), this one among them; ``each``
@@ -310,9 +304,7 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
     raises. The bits do not depend on the thread or process count."""
     if dataset.total_frames == 0:
         raise InvalidArgumentError("empty split")
-    if (params.input_dim, params.output_dim) != (dataset.feature_dim, dataset.num_classes):
-        raise AlignmentError(f"model of D={params.input_dim}, K={params.output_dim} does not "
-                             f"fit a split of D={dataset.feature_dim}, K={dataset.num_classes}")
+    dataset.require_fit(params)
     if not _is_lstm(params):
         return ff_forward(params, dataset.features, each=each)
     out = np.empty((dataset.total_frames, params.output_dim)) if each is None else None
@@ -328,12 +320,14 @@ def eval_logits(params, dataset: FrameDataset, each=None) -> np.ndarray | None:
         started = time.perf_counter()
         _score(params, dataset, mine, each)
         hung = time.perf_counter() + _HUNG[0] + _HUNG[1] * (time.perf_counter() - started)
-        for _, read, layout, logits, share in children:
+        for _, read, logits, share in children:
             poll = select.poll()
             poll.register(read, select.POLLIN)
             if poll.poll(max(0.0, hung - time.perf_counter()) * 1e3) and os.read(read, 1) == b"\1":
-                for start, stop, end in layout.tolist():
-                    each(slice(start, stop), logits[end - stop + start : end])
+                end = 0
+                for u in (u for group in share for u in group):
+                    end += u.count
+                    each(slice(u.offset, u.offset + u.count), logits[end - u.count : end])
             else:  # no byte from the child in time: score its share here
                 _score(params, dataset, share, each)
     finally:  # a child that sent its byte has nothing left to do
@@ -576,7 +570,8 @@ def run_training(
     A soft regime's targets must pass validate_soft_targets against
     ``train_set`` (frame count, K, entries in [0, 1], rows summing to 1)
     and carry the regime's T; otherwise AlignmentError is raised before
-    any epoch runs. "logitmatch" trains on the teacher's logits.
+    any epoch runs. "logitmatch" trains on the teacher's logits, scored
+    by ``eval_logits`` after the fit rule (``FrameDataset.require_fit``).
 
     Returns (RunRecord, trained params). On numeric overflow raises
     TrainingAborted carrying the record and the last epoch's parameters.
@@ -597,7 +592,7 @@ def run_training(
     elif regime.teacher_logits:
         if teacher is None:
             raise InvalidArgumentError(f"regime {spec.mode!r} requires the teacher model")
-        targets = ff_forward(teacher, train_set.features)
+        targets = eval_logits(teacher, train_set)
     phases = [
         (
             DistillLossSpec(mode, spec.alpha, spec.temperature),

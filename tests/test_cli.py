@@ -17,7 +17,7 @@ import pytest
 import yaml
 from test_training import traced_peak
 
-from kdtrain import cli, feedforward, formats, training
+from kdtrain import cli, distill, feedforward, formats, training
 from kdtrain.cli import main
 from kdtrain.distill import REGIMES, SoftTargetSet, export_soft_targets
 from kdtrain.feedforward import _BLOCK_ROWS, ff_forward, init_feedforward
@@ -176,11 +176,11 @@ def test_one_export_over_four_temperatures_equals_four_single_exports(tmp_path, 
 
 
 def test_export_soft_holds_one_float64_set_at_a_time(tmp_path, capsys):
-    """export-soft at four temperatures writes, drops and reads back each
-    float32 set before it makes the next, so its traced peak is at most
-    the train split and two float64 sets' bytes: the teacher's logits,
-    and one float32 set with the checks of its read-back rows; not one
-    set per temperature."""
+    """export-soft at four temperatures checks, writes and drops each
+    float32 set before it makes the next, and reads none back, so its
+    traced peak is at most the train split and two float64 sets' bytes:
+    the teacher's logits, and one float32 set with the checks of its
+    rows; not one set per temperature."""
     config = write_config(
         tmp_path / "wide.yaml",
         task={"classes": 40, "feature_dim": 8, "min_frames": 30, "max_frames": 80,
@@ -197,6 +197,37 @@ def test_export_soft_holds_one_float64_set_at_a_time(tmp_path, capsys):
     code, peak = traced_peak(run, config, out, "export-soft", "--teacher", str(teacher))
     assert code == 0 and len(list(out.glob("soft_T*_s3.dkst"))) == 4
     assert peak <= split + 2 * one_set + 2**18
+
+
+def test_export_soft_reads_back_no_file(done, tmp_path, monkeypatch):
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns("soft_*"))
+    reads, read = [], cli.read_soft_targets
+    monkeypatch.setattr(cli, "read_soft_targets", lambda path: reads.append(path) or read(path))
+    assert run(config, copy, "export-soft") == 0
+    assert reads == [] and digests(copy) == digests(out)
+
+
+def test_export_soft_refuses_an_invalid_set_before_its_file_exists(done, tmp_path, capsys,
+                                                                   monkeypatch):
+    """A set whose first row is all zeros fails validate_soft_targets in
+    memory: exit 3 with that violation, and no soft-target file."""
+    config, out = done
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns("soft_*"))
+
+    def off_normalised(*args):
+        for soft in export_soft_targets(*args):
+            soft.rows[0] = 0.0
+            yield soft
+
+    monkeypatch.setattr(cli, "export_soft_targets", off_normalised)
+    capsys.readouterr()
+    assert run(config, copy, "export-soft") == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: exported soft targets {copy / 'soft_T2_s3.dkst'} failed self-validation: "
+        "row 0 sums to 0.000000000, expected 1 within 1e-6"]
+    assert captured.out == "" and not list(copy.glob("soft_*"))
 
 
 def test_parallel_students_equal_the_serial_run(done, tmp_path):
@@ -506,20 +537,46 @@ def test_noise_past_float32_exits_2_and_writes_nothing(tmp_path, capsys):
      init_lstm(5, 3, layers=1, cells=6, projection=3, rng=np.random.default_rng(5))),
     (["variance-report", "--student"],
      init_lstm(4, 4, layers=1, cells=6, projection=3, rng=np.random.default_rng(5))),
-], ids=["eval-K", "eval-D", "variance-report-K", "variance-report-D"])
-def test_model_that_does_not_fit_the_split_exits_3(done, tmp_path, capsys, command, model):
+    (["export-soft", "--teacher"], init_feedforward([5, 8, 3], np.random.default_rng(5))),
+    (["export-soft", "--teacher"], init_feedforward([4, 8, 4], np.random.default_rng(5))),
+    (["train-student", "--regime", "logitmatch"],
+     init_feedforward([5, 8, 3], np.random.default_rng(5))),
+    (["train-student", "--regime", "logitmatch"],
+     init_feedforward([4, 8, 4], np.random.default_rng(5))),
+], ids=["eval-K", "eval-D", "variance-report-K", "variance-report-D", "export-soft-K",
+        "export-soft-D", "logitmatch-K", "logitmatch-D"])
+def test_model_that_does_not_fit_the_split_exits_3(done, tmp_path, capsys, monkeypatch,
+                                                    command, model):
+    """Every command that pairs a model with a split refuses a misfit with
+    the one fit rule's line, before any forward, epoch or write: --out
+    keeps its files, and gains no soft set, student or aborted file. A
+    logit-matching student reads the seed's teacher checkpoint."""
     config, out = done
-    path = tmp_path / "misfit.dkdm"
-    write_checkpoint(path, model)
-    copy = shutil.copytree(out, tmp_path / "copy")
+    writes = command[0] in ("export-soft", "train-student")  # on success, into --out
+    fresh = ["soft_*", "student_logitmatch_*"] if writes else []
+    copy = shutil.copytree(out, tmp_path / "copy", ignore=shutil.ignore_patterns(*fresh))
+    if command[0] == "train-student":
+        write_checkpoint(copy / "teacher_s3.dkdm", model)
+    else:
+        command = [*command, str(tmp_path / "misfit.dkdm")]
+        write_checkpoint(command[-1], model)
+    before = {p.name: p.read_bytes() for p in copy.iterdir()}
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward pass before the fit check")
+
+    for module, name in ((training, "ff_forward"), (training, "lstm_forward_batch"),
+                         (distill, "ff_forward")):
+        monkeypatch.setattr(module, name, no_forward)
     capsys.readouterr()
-    assert run(config, copy, *command, str(path)) == 3
+    assert run(config, copy, *command) == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         f"error: model of D={model.input_dim}, K={model.output_dim} does not fit a split of "
         "D=5, K=4"
     ]
     assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
 
 
 def test_config_digest_mismatch_on_out_exits_2(done, tmp_path):
